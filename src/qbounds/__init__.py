@@ -27,7 +27,6 @@ from .core import (
     QfiProfile,
     TargetFunction,
     make_uniform_prior,
-    validate_problem,
 )
 from .errors import (
     ConfigError,
@@ -47,11 +46,9 @@ from .errors import (
 from .estimation import (
     BinaryMeasurementModel,
     MmseReport,
-    OutcomeDistribution,
     mmse_estimates,
     mmse_mse,
     mse_via_decomposition,
-    outcome_pmf,
     posterior,
 )
 from .models import (
@@ -66,10 +63,8 @@ from .models import (
     noon_model,
 )
 from .numerics import (
-    TridiagonalSystem,
     composite_simpson,
     log_binomial_pmf,
-    simpson_integrate,
     solve_tridiagonal,
 )
 

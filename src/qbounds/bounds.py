@@ -22,15 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_GRID_M,
-    EstimationProblem,
-    GridFunction,
-    ParameterGrid,
-    validate_problem,
-)
-from .errors import DomainError, GridMismatch
-from .numerics import TridiagonalSystem, composite_simpson, solve_tridiagonal
+from .core import DEFAULT_GRID_M, EstimationProblem, GridFunction, ParameterGrid
+from .errors import DomainError, GridMismatch, SingularSystem
+from .numerics import composite_simpson, solve_tridiagonal
 
 __all__ = [
     "BoundMethod",
@@ -105,7 +99,6 @@ def bound_functional(
     Any bias gives a valid MSE lower bound; b = 0 reproduces the Bayesian
     QCRB integrand.
     """
-    validate_problem(p)
     if b.grid != p.grid or b_prime.grid != p.grid:
         raise GridMismatch("bias samples must live on the problem grid")
     j_eff = p.qfi.effective()
@@ -118,7 +111,6 @@ def bound_functional(
 
 def bayesian_qcrb(p: EstimationProblem) -> BoundReport:
     """Bayesian quantum Cramer-Rao bound: the b = 0 member of the family."""
-    validate_problem(p)
     integrand = (
         p.prior.samples.values * p.target.f_prime.values**2 / p.qfi.effective()
     )
@@ -196,14 +188,15 @@ def solve_optimal_bias(p: EstimationProblem) -> GridFunction:
     nodes, so the system stays tridiagonal and strictly diagonally dominant
     (diagonal -2/h^2 - J with J > 0).
     """
-    validate_problem(p)
     grid = p.grid
     m, h = grid.m, grid.h
     c, j_eff, forcing = _ode_coefficients(p)
     fp = p.target.f_prime.values
     g1, g2 = -fp[0], -fp[-1]
 
-    inv_h2 = 1.0 / (h * h)
+    inv_h2 = 1.0 / (h * h) if h * h > 0.0 else np.inf
+    if np.isinf(inv_h2):
+        raise SingularSystem(f"grid spacing {h:.3g} is too fine: 1/h^2 overflows")
     diag = -2.0 * inv_h2 - j_eff
     sub = np.empty(m - 1)
     sup = np.empty(m - 1)
@@ -219,7 +212,7 @@ def solve_optimal_bias(p: EstimationProblem) -> GridFunction:
     sub[-1] = 2.0 * inv_h2
     rhs[-1] = forcing[-1] - c[-1] * g2 - 2.0 * g2 / h
 
-    b = solve_tridiagonal(TridiagonalSystem(sub, diag, sup, rhs))
+    b = solve_tridiagonal(sub, diag, sup, rhs)
     bias = GridFunction(grid, b)
 
     residual = bias_ode_residual(p, bias)

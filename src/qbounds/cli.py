@@ -294,6 +294,9 @@ def run_bounds_sweep(config: RunConfig) -> list[dict]:
 
 
 def _check_row(row: dict) -> None:
+    for key in ("qcrb", "obb", "mmse"):
+        if row[key] is not None and not math.isfinite(row[key]):
+            raise InvariantViolation(f"axis={row['axis']}: {key} is {row[key]!r}")
     if row["obb"] > row["qcrb"] + _OBB_VS_QCRB_TOL:
         raise InvariantViolation(
             f"axis={row['axis']}: obb {row['obb']!r} exceeds qcrb {row['qcrb']!r}"

@@ -29,7 +29,6 @@ __all__ = [
     "QfiProfile",
     "EstimationProblem",
     "make_uniform_prior",
-    "validate_problem",
 ]
 
 # One grid serves both Simpson quadrature and the second-order BVP; 4001
@@ -241,19 +240,3 @@ def make_uniform_prior(a1: float, a2: float, m: int) -> PriorDensity:
     density = 1.0 / (a2 - a1)
     return PriorDensity(GridFunction(grid, np.full(m, density)))
 
-
-def validate_problem(p: EstimationProblem) -> None:
-    """Re-check the standing assumptions on an assembled problem.
-
-    Raises GridMismatch / UnnormalizedPrior / NonPositiveQfi. Constructors
-    enforce the same invariants; this is the explicit gate for problems built
-    from pieces.
-    """
-    grid = p.prior.grid
-    if p.target.grid != grid or p.qfi.grid != grid:
-        raise GridMismatch("constituents do not share the problem grid")
-    total = composite_simpson(p.prior.samples.values, grid.h)
-    if abs(total - 1.0) > _PRIOR_NORM_TOL:
-        raise UnnormalizedPrior(f"prior integrates to {total!r}, not 1")
-    if p.qfi.j_base.values.min() <= 0.0:
-        raise NonPositiveQfi("QFI must be strictly positive on the grid")

@@ -35,7 +35,7 @@ class DomainError(QboundsError):
 
 
 class SingularSystem(QboundsError):
-    """Tridiagonal elimination hit a vanishing pivot."""
+    """The discretized BVP cannot be solved: a vanishing pivot, or 1/h^2 overflows."""
 
 
 class ZeroEvidence(QboundsError):

@@ -20,9 +20,7 @@ from .numerics import composite_simpson, log_binomial_pmf_vector
 
 __all__ = [
     "BinaryMeasurementModel",
-    "OutcomeDistribution",
     "MmseReport",
-    "outcome_pmf",
     "likelihood_table",
     "posterior",
     "mmse_estimates",
@@ -49,20 +47,6 @@ class BinaryMeasurementModel:
 
 
 @dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
-    """Binomial distribution over k = 0..n at one parameter value."""
-
-    n: int
-    probs: np.ndarray
-    conditioned_on: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        if len(self.probs) != self.n + 1:
-            raise DomainError(f"need n+1 probabilities, got {len(self.probs)}")
-
-
-@dataclass(frozen=True, eq=False)
 class MmseReport:
     """MMSE estimator summary for one repetition count."""
 
@@ -78,15 +62,6 @@ def likelihood_table(m: BinaryMeasurementModel, n: int) -> np.ndarray:
     if n < 0:
         raise DomainError(f"repetition count must be >= 0, got {n}")
     return log_binomial_pmf_vector(n, m.p1.values)
-
-
-def outcome_pmf(m: BinaryMeasurementModel, x_index: int, n: int) -> OutcomeDistribution:
-    """Distribution of the 1-outcome count for n shots at grid node x_index."""
-    if not 0 <= x_index < m.grid.m:
-        raise DomainError(f"grid index {x_index} out of range [0, {m.grid.m})")
-    probs = likelihood_table(m, n)[:, x_index]
-    x = m.grid.nodes()[x_index]
-    return OutcomeDistribution(n, probs, float(x))
 
 
 def _check_shared_grid(m: BinaryMeasurementModel, prior: PriorDensity) -> None:

@@ -1,29 +1,22 @@
 """Low-level numerical kernels.
 
-Composite Simpson quadrature, a pivot-free Thomas solve for tridiagonal
-systems, and log-domain binomial probabilities. Everything here works on
-plain arrays; grid-aware wrappers live where the grid types do.
+Composite Simpson quadrature, a LAPACK LU factorization (gttrf/gttrs) of
+tridiagonal systems with a check on its pivots, and log-domain binomial
+probabilities. Everything here works on plain arrays; grid-aware wrappers
+live where the grid types do.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import gammaln, xlogy
 
 from .errors import DomainError, InvalidGrid, SingularSystem
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .core import GridFunction
-
 __all__ = [
-    "TridiagonalSystem",
     "composite_simpson",
-    "simpson_integrate",
     "solve_tridiagonal",
     "log_binomial_pmf",
-    "binomial_pmf",
     "log_binomial_pmf_vector",
 ]
 
@@ -43,77 +36,28 @@ def composite_simpson(values: np.ndarray, h: float) -> float:
     return acc * (h / 3.0)
 
 
-def simpson_integrate(f: "GridFunction") -> float:
-    """Integrate a grid function over its support with composite Simpson."""
-    return float(composite_simpson(f.values, f.grid.h))
-
-
-@dataclass(frozen=True, eq=False)
-class TridiagonalSystem:
-    """Tridiagonal linear system A u = rhs.
-
-    sub is the subdiagonal (length m-1), diag the main diagonal (length m),
-    sup the superdiagonal (length m-1).
-    """
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("sub", "diag", "sup", "rhs"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        m = len(self.diag)
-        if len(self.sub) != m - 1 or len(self.sup) != m - 1 or len(self.rhs) != m:
-            raise InvalidGrid(
-                "tridiagonal bands must have lengths (m-1, m, m-1, m), got "
-                f"({len(self.sub)}, {m}, {len(self.sup)}, {len(self.rhs)})"
-            )
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        """A @ u, for residual checks."""
-        out = self.diag * u
-        out[:-1] += self.sup * u[1:]
-        out[1:] += self.sub * u[:-1]
-        return out
-
-
-# Pivot magnitude below this fraction of the row scale aborts elimination.
+# Pivot magnitude below this fraction of the row scale aborts the solve.
 _PIVOT_TOL = 1e-14
 
 
-def solve_tridiagonal(sys: TridiagonalSystem) -> np.ndarray:
-    """Thomas algorithm (no pivoting).
+def solve_tridiagonal(
+    sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve the tridiagonal system A u = rhs with LAPACK gttrf/gttrs.
 
-    The BVP assembler only produces strictly diagonally dominant systems, so
-    pivoting is unnecessary; a vanishing pivot raises SingularSystem.
+    sub is the subdiagonal (length m-1), diag the main diagonal (length m),
+    sup the superdiagonal (length m-1). The LU factorization uses partial
+    pivoting; a diagonal entry of U at most _PIVOT_TOL of its row scale
+    raises SingularSystem instead of returning an unbounded solution.
     """
-    m = len(sys.diag)
-    sub, diag, sup, rhs = sys.sub, sys.diag, sys.sup, sys.rhs
-    c = np.empty(m - 1)
-    d = np.empty(m)
-    row_scale = np.abs(diag).copy()
+    dl, d, du, du2, ipiv, _ = dgttrf(sub, diag, sup)
+    row_scale = np.abs(np.asarray(diag, dtype=float))
     row_scale[:-1] += np.abs(sup)
     row_scale[1:] += np.abs(sub)
-
-    piv = diag[0]
-    if abs(piv) <= _PIVOT_TOL * max(row_scale[0], 1.0):
-        raise SingularSystem("zero pivot in row 0")
-    c[0] = sup[0] / piv
-    d[0] = rhs[0] / piv
-    for i in range(1, m):
-        piv = diag[i] - sub[i - 1] * c[i - 1]
-        if abs(piv) <= _PIVOT_TOL * max(row_scale[i], 1.0):
-            raise SingularSystem(f"vanishing pivot in row {i}")
-        if i < m - 1:
-            c[i] = sup[i] / piv
-        d[i] = (rhs[i] - sub[i - 1] * d[i - 1]) / piv
-
-    u = np.empty(m)
-    u[-1] = d[-1]
-    for i in range(m - 2, -1, -1):
-        u[i] = d[i] - c[i] * u[i + 1]
+    vanishing = np.flatnonzero(np.abs(d) <= _PIVOT_TOL * np.maximum(row_scale, 1.0))
+    if vanishing.size:
+        raise SingularSystem(f"vanishing pivot in row {vanishing[0]}")
+    u, _ = dgttrs(dl, d, du, du2, ipiv, rhs)
     return u
 
 
@@ -134,11 +78,6 @@ def log_binomial_pmf(n: int, k: int, p1: float) -> float:
     if np.isneginf(log_p):
         return 0.0
     return float(np.exp(log_coeff + log_p))
-
-
-def binomial_pmf(n: int, k: int, p1: float) -> float:
-    """Alias of log_binomial_pmf; the return value is a plain probability."""
-    return log_binomial_pmf(n, k, p1)
 
 
 def log_binomial_pmf_vector(n: int, p1: np.ndarray) -> np.ndarray:

@@ -204,3 +204,30 @@ class TestConfigErrors:
         monkeypatch.setenv("QBOUNDS_GRID", "500")
         code, _, _ = run(tmp_path, "bounds", "--example", "noon", "--n", "1")
         assert code == 2
+
+
+class TestFailureExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the Neumann operator is near-singular as n J -> 0
+            ("--example", "field", "--n", "1", "--param", "B=1e-4"),
+            # h^2 underflows to zero on this support
+            ("--example", "noon", "--n", "1", "--prior", "0:1e-160"),
+        ],
+    )
+    def test_numerical_failure(self, tmp_path, capsys, argv):
+        code, csv_text, _ = run(tmp_path, "bounds", *argv)
+        assert code == 3
+        assert csv_text is None
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_row(self, tmp_path, capsys):
+        # the prior density 1e-300 drives the MMSE risk to nan
+        code, csv_text, _ = run(
+            tmp_path, "bounds", "--example", "noon", "--n", "1", "--prior", "0:1e300"
+        )
+        assert code == 4
+        assert csv_text is None
+        assert "mmse is nan" in capsys.readouterr().err

@@ -10,8 +10,8 @@ from qbounds.estimation import (
     BinaryMeasurementModel,
     mmse_estimates,
     mmse_mse,
+    likelihood_table,
     mse_via_decomposition,
-    outcome_pmf,
     posterior,
 )
 from qbounds.models import (
@@ -22,7 +22,7 @@ from qbounds.models import (
     field_model,
     noon_model,
 )
-from qbounds.numerics import simpson_integrate
+from qbounds.numerics import composite_simpson
 
 A_NOON = math.pi / 10.0
 
@@ -38,32 +38,25 @@ class TestOutcomePmf:
         problem, model = noon(m=4001)
         mid = 2000
         assert problem.grid.nodes()[mid] == pytest.approx(math.pi / 20.0, abs=1e-14)
-        dist = outcome_pmf(model, mid, 2)
-        np.testing.assert_allclose(dist.probs, [0.25, 0.5, 0.25], atol=1e-12)
+        probs = likelihood_table(model, 2)[:, mid]
+        np.testing.assert_allclose(probs, [0.25, 0.5, 0.25], atol=1e-12)
 
     def test_deterministic_outcome(self):
         _, model = dephasing_model(DephasingParams(0.0), (0.0, math.pi), 401, 1)
-        dist = outcome_pmf(model, 0, 6)  # p1(0) = (1 - cos 0)/2 = 0
+        probs = likelihood_table(model, 6)[:, 0]  # p1(0) = (1 - cos 0)/2 = 0
         expected = np.zeros(7)
         expected[0] = 1.0
-        np.testing.assert_array_equal(dist.probs, expected)
+        np.testing.assert_array_equal(probs, expected)
 
     def test_empty_record(self):
         _, model = noon()
-        dist = outcome_pmf(model, 10, 0)
-        np.testing.assert_array_equal(dist.probs, [1.0])
+        np.testing.assert_array_equal(likelihood_table(model, 0)[:, 10], [1.0])
 
     def test_probs_sum_to_one(self):
         _, model = field_model(FieldParams(math.pi / 2), (0.0, math.pi / 2), 801, 1)
+        table = likelihood_table(model, 25)
         for idx in (0, 123, 800):
-            assert outcome_pmf(model, idx, 25).probs.sum() == pytest.approx(
-                1.0, abs=1e-12
-            )
-
-    def test_index_out_of_range(self):
-        _, model = noon(m=401)
-        with pytest.raises(DomainError):
-            outcome_pmf(model, 401, 1)
+            assert table[:, idx].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPosterior:
@@ -84,7 +77,7 @@ class TestPosterior:
         norm = (a - math.sin(10 * a) / 10.0) / 2.0 / a
         expected = (np.sin(5 * x) ** 2 / a) / norm
         np.testing.assert_allclose(post.values, expected, atol=1e-10)
-        assert simpson_integrate(post) == pytest.approx(1.0, abs=1e-10)
+        assert composite_simpson(post.values, post.grid.h) == pytest.approx(1.0, abs=1e-10)
 
     def test_all_posteriors_normalized(self):
         problem, model = field_model(
@@ -92,7 +85,7 @@ class TestPosterior:
         )
         for k in range(9):
             post = posterior(model, problem.prior, 8, k)
-            assert simpson_integrate(post) == pytest.approx(1.0, abs=1e-10)
+            assert composite_simpson(post.values, post.grid.h) == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_evidence(self):
         grid = ParameterGrid(0.0, 1.0, 101)

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from qbounds.core import GridFunction, ParameterGrid
 from qbounds.errors import DomainError, InvalidGrid, SingularSystem
 from qbounds.numerics import (
-    TridiagonalSystem,
     composite_simpson,
     log_binomial_pmf,
     log_binomial_pmf_vector,
-    simpson_integrate,
     solve_tridiagonal,
 )
 
@@ -20,20 +18,19 @@ from qbounds.numerics import (
 class TestSimpson:
     def test_constant_exact(self):
         grid = ParameterGrid(0.0, 1.0, 101)
-        assert simpson_integrate(GridFunction(grid, np.ones(101))) == 1.0
+        assert composite_simpson(np.ones(101), grid.h) == 1.0
 
     def test_sine_on_0_pi(self):
         grid = ParameterGrid(0.0, math.pi, 2001)
-        val = simpson_integrate(GridFunction.from_callable(grid, np.sin))
+        f = GridFunction.from_callable(grid, np.sin)
+        val = composite_simpson(f.values, f.grid.h)
         assert val == pytest.approx(2.0, abs=1e-10)
 
     def test_fourth_order_convergence(self):
         # halving h on x^4 shrinks the error by ~16
         def err(m):
             grid = ParameterGrid(0.0, 1.0, m)
-            return abs(
-                simpson_integrate(GridFunction(grid, grid.nodes() ** 4)) - 0.2
-            )
+            return abs(composite_simpson(grid.nodes() ** 4, grid.h) - 0.2)
 
         ratio = err(21) / err(41)
         assert ratio == pytest.approx(16.0, rel=0.05)
@@ -61,28 +58,20 @@ class TestSimpson:
 class TestTridiagonal:
     def test_identity_system(self):
         rhs = np.array([3.0, -1.0, 2.0])
-        sys = TridiagonalSystem(np.zeros(2), np.ones(3), np.zeros(2), rhs)
-        np.testing.assert_allclose(solve_tridiagonal(sys), rhs)
+        u = solve_tridiagonal(np.zeros(2), np.ones(3), np.zeros(2), rhs)
+        np.testing.assert_allclose(u, rhs)
 
     def test_laplacian_all_ones(self):
         # verified by direct multiplication: A @ (1,1,1,1,1) = (1,0,0,0,1)
-        sys = TridiagonalSystem(
-            -np.ones(4), 2.0 * np.ones(5), -np.ones(4), np.array([1.0, 0, 0, 0, 1.0])
-        )
-        u = solve_tridiagonal(sys)
+        rhs = np.array([1.0, 0, 0, 0, 1.0])
+        u = solve_tridiagonal(-np.ones(4), 2.0 * np.ones(5), -np.ones(4), rhs)
         np.testing.assert_allclose(u, np.ones(5), atol=1e-12)
-        np.testing.assert_allclose(sys.matvec(u), sys.rhs, atol=1e-12)
 
     def test_zero_diagonal_row_raises(self):
-        sys = TridiagonalSystem(
-            np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2), np.ones(3)
-        )
-        with pytest.raises(SingularSystem):
-            solve_tridiagonal(sys)
-
-    def test_band_length_validation(self):
-        with pytest.raises(InvalidGrid):
-            TridiagonalSystem(np.zeros(3), np.ones(3), np.zeros(2), np.ones(3))
+        with pytest.raises(SingularSystem, match="row 1"):
+            solve_tridiagonal(
+                np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2), np.ones(3)
+            )
 
     @given(seed=st.integers(0, 2**31 - 1), m=st.integers(3, 60))
     @settings(max_examples=50, deadline=None)
@@ -92,10 +81,10 @@ class TestTridiagonal:
         sup = rng.uniform(-1, 1, m - 1)
         diag = 2.0 + np.abs(rng.normal(size=m))  # strictly dominant
         rhs = rng.normal(size=m)
-        sys = TridiagonalSystem(sub, diag, sup, rhs)
-        u = solve_tridiagonal(sys)
-        resid = np.max(np.abs(sys.matvec(u) - rhs))
-        assert resid <= 1e-10 * max(np.max(np.abs(rhs)), 1.0)
+        u = solve_tridiagonal(sub, diag, sup, rhs)
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        expected = np.linalg.solve(dense, rhs)
+        assert np.max(np.abs(u - expected)) <= 1e-10 * max(np.max(np.abs(rhs)), 1.0)
 
 
 class TestBinomialPmf:
