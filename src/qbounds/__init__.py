@@ -63,8 +63,8 @@ from .models import (
     noon_model,
 )
 from .numerics import (
+    binomial_pmf,
     composite_simpson,
-    log_binomial_pmf,
     solve_tridiagonal,
 )
 

@@ -44,6 +44,12 @@ __all__ = [
 # warning (never an error: Eq-style biased bounds stay valid for any b).
 RESIDUAL_WARN_TOL = 1e-6
 
+# Below z = _SERIES_Z the direct 1 - tanh(z)/z loses more than 5e-14 relative
+# to cancellation, so it is summed from its Taylor series in z^2 there; the
+# first omitted term (z^14) is under 1e-14 of the sum.
+_SERIES_Z = 0.1
+_DEFICIT_SERIES = (1 / 3, -2 / 15, 17 / 315, -62 / 2835, 1382 / 155925, -21844 / 6081075)
+
 
 class BoundMethod(enum.Enum):
     BAYESIAN_QCRB = "bayesian_qcrb"
@@ -148,7 +154,9 @@ def obb_closed_form(
 ) -> BoundReport:
     """Closed-form OBB for uniform prior on (0, a) and constant effective QFI.
 
-    value = 1/J - (2 / (a J^{3/2})) tanh(a sqrt(J) / 2).
+    value = 1/J - (2 / (a J^{3/2})) tanh(a sqrt(J) / 2) = (1 - tanh(z)/z) / J
+    with z = a sqrt(J) / 2, which tends to the prior variance a^2/12 as
+    a^2 J -> 0 without cancelling against 1/J.
     """
     if j_effective <= 0.0 or a <= 0.0:
         raise DomainError(
@@ -156,8 +164,12 @@ def obb_closed_form(
         )
     if grid is None:
         grid = ParameterGrid(0.0, a, DEFAULT_GRID_M)
-    r = np.sqrt(j_effective)
-    value = 1.0 / j_effective - (2.0 / (a * j_effective * r)) * np.tanh(a * r / 2.0)
+    z = a * np.sqrt(j_effective) / 2.0
+    if z < _SERIES_Z:
+        deficit = z * z * np.polynomial.polynomial.polyval(z * z, _DEFICIT_SERIES)
+    else:
+        deficit = 1.0 - np.tanh(z) / z
+    value = deficit / j_effective
     bias = optimal_bias_closed_form(j_effective, a, grid)
     return BoundReport(
         float(value),

@@ -26,7 +26,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .bounds import bayesian_qcrb, obb_variational
@@ -51,21 +52,34 @@ from .models import (
     noon_model,
 )
 
-EXAMPLES = ("noon", "dephasing", "interferometer", "field")
 
-_DEFAULT_PRIOR = {
-    "noon": (0.0, math.pi / 10.0),
-    "dephasing": (0.0, math.pi),
-    "interferometer": (0.0, math.pi / 5.0),
-    "field": (0.0, math.pi / 2.0),
-}
+class _Example(NamedTuple):
+    prior: tuple[float, float]
+    params: dict  # defaults; an int default marks an integral parameter
+    build: Callable  # (params, prior, m, n) -> (problem, model or None)
 
-_DEFAULT_PARAMS = {
-    "noon": {"N": 10.0},
-    "dephasing": {"eta": 1.0},
-    "interferometer": {"n_a": 1.0, "n_b": 1.0},
-    "field": {"B": math.pi / 2.0},
+
+# Builders call the model functions through this module's globals, so a
+# wrapper installed on those names (as bench/spans.py does) sees every build.
+_EXAMPLES = {
+    "noon": _Example(
+        (0.0, math.pi / 10.0), {"N": 10},
+        lambda p, *args: noon_model(NoonParams(p["N"]), *args)),
+    "dephasing": _Example(
+        (0.0, math.pi), {"eta": 1.0},
+        lambda p, *args: dephasing_model(
+            DephasingParams(p["gamma"]) if "gamma" in p
+            else DephasingParams.from_eta(p["eta"]), *args)),
+    "interferometer": _Example(
+        (0.0, math.pi / 5.0), {"n_a": 1.0, "n_b": 1.0},
+        lambda p, *args: (interferometer_problem(
+            InterferometerParams(p["n_a"], p["n_b"]), *args), None)),
+    "field": _Example(
+        (0.0, math.pi / 2.0), {"B": math.pi / 2.0},
+        lambda p, *args: field_model(FieldParams(p["B"]), *args)),
 }
+# Other names for a parameter: the dephasing decay rate gamma = -ln(eta).
+_ALIASES = {"gamma": "eta"}
 
 # Ordering tolerances enforced on every emitted row.
 _OBB_VS_QCRB_TOL = 1e-12
@@ -86,15 +100,7 @@ class RunConfig:
 
     def echo(self) -> dict:
         """Lossless resolved-config dictionary for the JSON report."""
-        return {
-            "example": self.example,
-            "params": dict(self.params),
-            "prior": [self.prior[0], self.prior[1]],
-            "grid_points": self.grid_points,
-            "n_list": list(self.n_list),
-            "sweep": dict(self.sweep) if self.sweep else None,
-            "stride": self.stride,
-        }
+        return {k: v for k, v in asdict(self).items() if k not in ("out", "report")}
 
 
 def _fmt(v) -> str:
@@ -103,53 +109,65 @@ def _fmt(v) -> str:
     return format(float(v), ".12g")
 
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"{flag} expects A:B, got {text!r}")
+def _number(value, what: str, integral: bool = False):
+    """A value from a flag, the config file or the environment, checked.
+
+    Returns a finite float, or an int when ``integral``; anything else
+    (text that is no number, nan, inf, 10.9 where an integer is due, a
+    JSON list or bool) raises ConfigError.
+    """
     try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from exc
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x) or (integral and not x.is_integer()):
+        kind = "an integer" if integral else "a finite number"
+        raise ConfigError(f"{what} must be {kind}, got {value!r}")
+    return int(x) if integral else x
 
 
-def _parse_params(items) -> dict:
-    out = {}
-    for item in items or ():
-        if "=" not in item:
-            raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        try:
-            out[key.strip()] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"--param {key}: {exc}") from exc
-    return out
+def _pair(parts, what: str, integral: bool = False) -> tuple:
+    if not isinstance(parts, (list, tuple)) or len(parts) != 2:
+        raise ConfigError(f"{what} expects two values A:B, got {parts!r}")
+    return tuple(_number(v, what, integral) for v in parts)
 
 
-def _parse_sweep(text: str) -> dict:
+def _split(text: str, flag: str) -> tuple[str, str]:
     if "=" not in text:
-        raise ConfigError(f"--sweep expects KEY=V1,V2,..., got {text!r}")
-    key, _, rest = text.partition("=")
-    try:
-        values = [float(v) for v in rest.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--sweep {key}: {exc}") from exc
-    if not values:
-        raise ConfigError("--sweep needs at least one value")
-    return {"param": key.strip(), "values": values}
+        raise ConfigError(f"{flag} expects KEY=VALUE, got {text!r}")
+    key, _, value = text.partition("=")
+    return key.strip(), value
 
 
-def _default_grid() -> int:
-    env = os.environ.get("QBOUNDS_GRID")
-    if env is None:
-        return DEFAULT_GRID_M
-    try:
-        m = int(env)
-    except ValueError as exc:
-        raise ConfigError(f"QBOUNDS_GRID must be an integer, got {env!r}") from exc
-    if m < 3 or m % 2 == 0:
-        raise ConfigError(f"QBOUNDS_GRID must be odd and >= 3, got {m}")
-    return m
+def _resolve_params(example: str, given: dict, sweep: dict | None):
+    """Checked (params, sweep) of one example from raw names and values.
+
+    Every name must belong to the example and each parameter may be set
+    under one name only, the sweep's included; defaults fill only the
+    parameters nobody set. Raises ConfigError otherwise.
+    """
+    defaults = _EXAMPLES[example].params
+    named = {}
+    for name in [*given, *([sweep["param"]] if sweep else [])]:
+        canonical = _ALIASES.get(name, name)
+        if canonical not in defaults:
+            raise ConfigError(
+                f"the {example} example has no parameter {name!r} "
+                f"(it takes {', '.join(defaults)})"
+            )
+        if named.setdefault(canonical, name) != name:
+            raise ConfigError(f"{named[canonical]} and {name} set the same parameter")
+
+    def check(name, value):
+        integral = isinstance(defaults[_ALIASES.get(name, name)], int)
+        return _number(value, f"parameter {name}", integral)
+
+    params = {k: v for k, v in defaults.items() if k not in named}
+    params.update((k, check(k, v)) for k, v in given.items())
+    if sweep:
+        sweep = {"param": sweep["param"],
+                 "values": [check(sweep["param"], v) for v in sweep["values"]]}
+    return params, sweep
 
 
 def _load_config_file(path: str) -> dict:
@@ -171,62 +189,58 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = _load_config_file(args.config) if args.config else {}
 
     example = args.example or file_cfg.get("example")
-    if example not in EXAMPLES:
+    if not isinstance(example, str) or example not in _EXAMPLES:
         raise ConfigError(
-            f"--example must be one of {', '.join(EXAMPLES)}, got {example!r}"
+            f"--example must be one of {', '.join(_EXAMPLES)}, got {example!r}"
         )
 
-    params = dict(_DEFAULT_PARAMS[example])
-    params.update(file_cfg.get("params", {}))
-    params.update(_parse_params(args.param))
-
-    if args.prior:
-        prior = _parse_pair(args.prior, "--prior")
-    elif "prior" in file_cfg:
-        prior = tuple(float(v) for v in file_cfg["prior"])
+    given = file_cfg.get("params", {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"config params must be an object, got {given!r}")
+    given = {**given, **dict(_split(item, "--param") for item in args.param or ())}
+    if args.sweep:
+        key, values = _split(args.sweep, "--sweep")
+        sweep = {"param": key, "values": [v for v in values.split(",") if v.strip()]}
     else:
-        prior = _DEFAULT_PRIOR[example]
+        sweep = file_cfg.get("sweep") or None
+    if sweep is not None and not (
+        isinstance(sweep, dict) and isinstance(sweep.get("param"), str)
+        and isinstance(sweep.get("values"), list) and sweep["values"]
+    ):
+        raise ConfigError(f"a sweep needs a parameter and at least one value: {sweep!r}")
+    params, sweep = _resolve_params(example, given, sweep)
 
-    if args.grid is not None:
-        grid_points = args.grid
-    elif "grid_points" in file_cfg:
-        grid_points = int(file_cfg["grid_points"])
-    else:
-        grid_points = _default_grid()
+    prior = args.prior.split(":") if args.prior else file_cfg.get(
+        "prior", _EXAMPLES[example].prior)
+    prior = _pair(prior, "prior")
+
+    grid_points = _number(
+        args.grid if args.grid is not None else file_cfg.get(
+            "grid_points", os.environ.get("QBOUNDS_GRID", DEFAULT_GRID_M)),
+        "grid size (--grid, config grid_points or QBOUNDS_GRID)", integral=True)
     if grid_points < 3 or grid_points % 2 == 0:
         raise ConfigError(f"grid size must be odd and >= 3, got {grid_points}")
 
-    allow_n0 = args.command == "mmse"
     if args.n_range:
-        lo, hi = (int(v) for v in _parse_pair(args.n_range, "--n-range"))
-        if lo > hi:
-            raise ConfigError(f"--n-range is empty: {lo}:{hi}")
+        lo, hi = _pair(args.n_range.split(":"), "--n-range", integral=True)
         n_list = list(range(lo, hi + 1))
-    elif args.n is not None:
-        n_list = [args.n]
-    elif "n_list" in file_cfg:
-        n_list = [int(v) for v in file_cfg["n_list"]]
-        if not n_list:
-            raise ConfigError("config n_list is empty")
     else:
-        n_list = [1]
-    floor = 0 if allow_n0 else 1
+        n_list = [args.n] if args.n is not None else file_cfg.get("n_list", [1])
+    if not isinstance(n_list, list) or not n_list:
+        raise ConfigError(f"need a non-empty list of n, got {args.n_range or n_list!r}")
+    n_list = [_number(v, "n", integral=True) for v in n_list]
+    floor = 0 if args.command == "mmse" else 1
     if min(n_list) < floor:
         raise ConfigError(
             f"n must be >= {floor} for the {args.command} command, got {min(n_list)}"
         )
-
-    if args.sweep:
-        sweep = _parse_sweep(args.sweep)
-    else:
-        sweep = file_cfg.get("sweep") or None
-        if sweep is not None:
-            sweep = {"param": str(sweep["param"]),
-                     "values": [float(v) for v in sweep["values"]]}
+    if args.command != "bounds" and (len(n_list) != 1 or sweep is not None):
+        raise ConfigError(f"the {args.command} command takes one n and no sweep")
     if sweep is not None and len(n_list) != 1:
         raise ConfigError("a parameter sweep requires a single fixed n")
 
-    stride = args.stride if args.stride is not None else int(file_cfg.get("stride", 1))
+    stride = _number(args.stride if args.stride is not None
+                     else file_cfg.get("stride", 1), "stride", integral=True)
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
 
@@ -245,20 +259,20 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 def _build(example: str, params: dict, prior, m: int, n: int):
     """Instantiate (problem, measurement model or None) for one axis point."""
-    if example == "noon":
-        return noon_model(NoonParams(int(params["N"])), prior, m, n)
-    if example == "dephasing":
-        if "gamma" in params:
-            dp = DephasingParams(params["gamma"])
-        else:
-            dp = DephasingParams.from_eta(params["eta"])
-        return dephasing_model(dp, prior, m, n)
-    if example == "interferometer":
-        ip = InterferometerParams(params["n_a"], params["n_b"])
-        return interferometer_problem(ip, prior, m, n), None
-    if example == "field":
-        return field_model(FieldParams(params["B"]), prior, m, n)
-    raise ConfigError(f"unknown example {example!r}")
+    return _EXAMPLES[example].build(params, prior, m, n)
+
+
+def _measured_point(config: RunConfig):
+    """(problem, model, n) at the single n of the bias and mmse commands."""
+    n = config.n_list[0]
+    # the n=0 baseline needs no QFI profile; build the problem with one
+    # repetition and run the estimator at the requested n
+    problem, model = _build(
+        config.example, config.params, config.prior, config.grid_points, max(n, 1)
+    )
+    if model is None:
+        raise UnsupportedExample(f"the {config.example} example has no measurement model")
+    return problem, model, n
 
 
 def run_bounds_sweep(config: RunConfig) -> list[dict]:
@@ -309,15 +323,7 @@ def _check_row(row: dict) -> None:
 
 def run_bias_dump(config: RunConfig) -> list[dict]:
     """Solved optimal bias next to the MMSE estimator bias at one n."""
-    if config.example == "interferometer":
-        raise UnsupportedExample(
-            "the interferometer example has no measurement model; "
-            "bias curves are undefined"
-        )
-    n = config.n_list[0]
-    problem, model = _build(
-        config.example, config.params, config.prior, config.grid_points, n
-    )
+    problem, model, n = _measured_point(config)
     report = obb_variational(problem)
     bias_mmse = mmse_mse(model, problem.prior, n, problem.target).bias_curve
     x = problem.grid.nodes()
@@ -332,16 +338,7 @@ def run_bias_dump(config: RunConfig) -> list[dict]:
 
 def run_mmse(config: RunConfig) -> list[dict]:
     """Posterior-mean estimates and risk for one n."""
-    if config.example == "interferometer":
-        raise UnsupportedExample(
-            "the interferometer example has no measurement model"
-        )
-    n = config.n_list[0]
-    # the n=0 baseline needs no QFI profile; build the problem with one
-    # repetition and run the estimator at the requested n
-    problem, model = _build(
-        config.example, config.params, config.prior, config.grid_points, max(n, 1)
-    )
+    problem, model, n = _measured_point(config)
     rep = mmse_mse(model, problem.prior, n, problem.target)
     return [
         {"k": k, "estimate": rep.estimates[k],
@@ -414,7 +411,7 @@ def make_parser() -> argparse.ArgumentParser:
         ("mmse", "posterior-mean estimates per outcome count at one n"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--example", choices=EXAMPLES)
+        p.add_argument("--example", choices=_EXAMPLES)
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--n-range", default=None, metavar="MIN:MAX")
         p.add_argument("--prior", default=None, metavar="A1:A2")

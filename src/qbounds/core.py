@@ -7,7 +7,7 @@ safe to share across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,9 +193,6 @@ class QfiProfile:
         """n * J(x) samples."""
         return self.repetitions * self.j_base.values
 
-    def with_repetitions(self, n: int) -> "QfiProfile":
-        return QfiProfile(self.j_base, self.j_prime, n)
-
 
 @dataclass(frozen=True)
 class EstimationProblem:
@@ -204,34 +201,26 @@ class EstimationProblem:
     prior: PriorDensity
     target: TargetFunction
     qfi: QfiProfile
-    # Analytic d/dx ln p(x); zero for uniform priors (interior nodes only
-    # carry the ODE, so the boundary kink of the uniform prior never enters).
-    log_prior_slope: GridFunction | None = field(default=None)
 
     def __post_init__(self) -> None:
         grid = self.prior.grid
         if self.target.grid != grid or self.qfi.grid != grid:
             raise GridMismatch("prior, target, and QFI must share one grid")
-        if self.log_prior_slope is not None and self.log_prior_slope.grid != grid:
-            raise GridMismatch("log_prior_slope grid differs from problem grid")
 
     @property
     def grid(self) -> ParameterGrid:
         return self.prior.grid
 
     def prior_log_slope(self) -> np.ndarray:
-        """p'(x)/p(x); finite-difference fallback when no analytic slope given."""
-        if self.log_prior_slope is not None:
-            return self.log_prior_slope.values
+        """p'(x)/p(x): zero for a uniform prior, else by finite differences.
+
+        Interior nodes only carry the ODE, so the boundary kink of the
+        uniform prior never enters.
+        """
         p = self.prior.samples.values
         if np.ptp(p) == 0.0:
             return np.zeros(self.grid.m)
         return self.prior.samples.derivative().values / p
-
-    def with_repetitions(self, n: int) -> "EstimationProblem":
-        return EstimationProblem(
-            self.prior, self.target, self.qfi.with_repetitions(n), self.log_prior_slope
-        )
 
 
 def make_uniform_prior(a1: float, a2: float, m: int) -> PriorDensity:

@@ -16,7 +16,7 @@ from .errors import DomainError, InvalidGrid, SingularSystem
 __all__ = [
     "composite_simpson",
     "solve_tridiagonal",
-    "log_binomial_pmf",
+    "binomial_pmf",
     "log_binomial_pmf_vector",
 ]
 
@@ -61,12 +61,11 @@ def solve_tridiagonal(
     return u
 
 
-def log_binomial_pmf(n: int, k: int, p1: float) -> float:
+def binomial_pmf(n: int, k: int, p1: float) -> float:
     """C(n,k) * p1^k * (1-p1)^(n-k), accumulated in log space.
 
-    Returns the probability itself (not its log). Log-gamma accumulation of
-    the binomial coefficient keeps n ~ 10^3 regimes finite. Degenerate p1 in
-    {0, 1} yields exact 0/1 values.
+    Log-gamma accumulation of the binomial coefficient keeps n ~ 10^3
+    regimes finite. Degenerate p1 in {0, 1} yields exact 0/1 values.
     """
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -84,7 +83,7 @@ def log_binomial_pmf_vector(n: int, p1: np.ndarray) -> np.ndarray:
     """Full binomial likelihood table over a vector of success probabilities.
 
     Returns shape (n+1, len(p1)); row k is C(n,k) p1^k (1-p1)^(n-k) evaluated
-    elementwise, with the same log-space arithmetic as log_binomial_pmf.
+    elementwise, with the same log-space arithmetic as binomial_pmf.
     """
     p1 = np.asarray(p1, dtype=float)
     if p1.min() < 0.0 or p1.max() > 1.0:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qbounds.bounds import (
+    _SERIES_Z,
     BoundMethod,
     bayesian_qcrb,
     bias_ode_residual,
@@ -138,6 +139,17 @@ class TestClosedFormBound:
     def test_small_information_limit_is_prior_variance(self):
         rep = obb_closed_form(1e-6, 1.0)
         assert rep.value == pytest.approx(1.0 / 12.0, rel=1e-6)
+
+    def test_prior_variance_limit_holds_to_roundoff(self):
+        # 1/J and the tanh term cancel as a^2 J -> 0; the value must still
+        # match a^2/12 - a^4 J/120, whose next term is O(a^6 J^2)
+        for j in (1e-10, 1e-14, 1e-18):
+            limit = A_NOON**2 / 12.0 - A_NOON**4 * j / 120.0
+            assert obb_closed_form(j, A_NOON).value == pytest.approx(limit, rel=1e-12)
+        # the series and the direct form meet at z = a sqrt(J)/2 = _SERIES_Z
+        j_branch = (2.0 * _SERIES_Z / A_NOON) ** 2
+        below = obb_closed_form(np.nextafter(j_branch, 0.0), A_NOON).value
+        assert below == pytest.approx(obb_closed_form(j_branch, A_NOON).value, rel=1e-12)
 
     def test_large_information_limit_is_qcrb(self):
         # tanh saturates at 1, so value = (1/J)(1 - 2/(a sqrt(J))): the

@@ -97,7 +97,8 @@ class TestBoundsSweep:
         _, _, doc = run(tmp_path, "bounds", "--example", "noon", "--n", "2", *GRID)
         cfg = doc["config"]
         assert cfg["example"] == "noon"
-        assert cfg["params"] == {"N": 10.0}
+        assert cfg["params"] == {"N": 10}
+        assert isinstance(cfg["params"]["N"], int)
         assert cfg["prior"] == pytest.approx([0.0, math.pi / 10.0])
         assert cfg["grid_points"] == 1001
         assert cfg["n_list"] == [2]
@@ -231,3 +232,92 @@ class TestFailureExitCodes:
         assert code == 4
         assert csv_text is None
         assert "mmse is nan" in capsys.readouterr().err
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize(
+        "argv, cfg",
+        [
+            pytest.param(("bounds", "--example", "dephasing", "--n", "5",
+                          "--param", "gamma=0.2", "--sweep", "eta=0.1,0.9"), None,
+                         id="gamma-with-eta-sweep"),
+            pytest.param(("bounds", "--example", "noon", "--n", "1",
+                          "--sweep", "foo=1,2"), None, id="unknown-sweep"),
+            pytest.param(("bounds", "--example", "noon", "--n", "1",
+                          "--param", "N=10.9"), None, id="fractional-N"),
+            pytest.param(("bounds", "--example", "noon", "--n", "1",
+                          "--param", "N=nan"), None, id="nan-N"),
+            pytest.param(("bounds", "--example", "noon", "--n", "1",
+                          "--sweep", "N=9.5,10"), None, id="fractional-N-sweep"),
+            pytest.param(("bounds", "--example", "noon", "--n", "1",
+                          "--param", "M=3"), None, id="unknown-param"),
+            pytest.param(("bounds", "--example", "interferometer", "--n", "1",
+                          "--param", "N=3"), None, id="param-of-other-example"),
+            pytest.param(("bounds", "--example", "field", "--n", "1",
+                          "--param", "B=inf"), None, id="infinite-B"),
+            pytest.param(("bounds", "--example", "noon", "--n-range", "1.9:3.9"),
+                         None, id="fractional-n-range"),
+            pytest.param(("bias", "--example", "dephasing", "--n", "1",
+                          "--sweep", "eta=0.1,0.5"), None, id="bias-sweep"),
+            pytest.param(("bias", "--example", "noon", "--n-range", "1:5"), None,
+                         id="bias-n-range"),
+            pytest.param(("mmse", "--example", "noon", "--n-range", "1:3"), None,
+                         id="mmse-n-range"),
+            pytest.param(("bounds",), {"example": "noon", "n_list": [1.5, 2.7]},
+                         id="config-fractional-n_list"),
+            pytest.param(("bounds", "--n", "1"),
+                         {"example": "noon", "params": {"N": "ten"}},
+                         id="config-text-param"),
+            pytest.param(("bounds", "--n", "1"), {"example": "noon", "prior": 5},
+                         id="config-scalar-prior"),
+        ],
+    )
+    def test_rejected_with_exit_2(self, tmp_path, capsys, argv, cfg):
+        if cfg is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            argv = (*argv, "--config", str(path))
+        code, csv_text, _ = run(tmp_path, *argv, *GRID)
+        assert code == 2
+        assert csv_text is None
+        err = capsys.readouterr().err
+        assert err.startswith("qbounds: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_integral_float_accepted(self, tmp_path):
+        args = ("bounds", "--example", "noon", "--n-range", "1:3", *GRID)
+        code, csv_text, doc = run(tmp_path, *args, "--param", "N=10.0")
+        assert code == 0
+        assert doc["config"]["params"] == {"N": 10}
+        assert csv_text == run(tmp_path, *args)[1]
+
+    def test_gamma_alone_round_trip(self, tmp_path):
+        code, csv_text, doc = run(
+            tmp_path, "bounds", "--example", "dephasing", "--n", "5",
+            "--param", "gamma=0.2", *GRID,
+        )
+        assert code == 0
+        assert doc["config"]["params"] == {"gamma": 0.2}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code2, csv2, _ = run(tmp_path, "bounds", "--config", str(cfg))
+        assert code2 == 0
+        assert csv2 == csv_text
+
+    def test_replay_of_sweep_echo_with_default_eta(self, tmp_path):
+        # earlier releases echoed the default eta next to an eta sweep
+        code, csv_text, _ = run(
+            tmp_path, "bounds", "--example", "dephasing", "--n", "5",
+            "--sweep", "eta=0.1,0.9", *GRID,
+        )
+        assert code == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config": {
+            "example": "dephasing", "params": {"eta": 1.0},
+            "prior": [0.0, math.pi], "grid_points": 1001, "n_list": [5],
+            "sweep": {"param": "eta", "values": [0.1, 0.9]}, "stride": 1,
+            "command": "bounds",
+        }}))
+        code2, csv2, _ = run(tmp_path, "bounds", "--config", str(cfg))
+        assert code2 == 0
+        assert csv2 == csv_text

@@ -9,7 +9,7 @@ from qbounds.core import GridFunction, ParameterGrid
 from qbounds.errors import DomainError, InvalidGrid, SingularSystem
 from qbounds.numerics import (
     composite_simpson,
-    log_binomial_pmf,
+    binomial_pmf,
     log_binomial_pmf_vector,
     solve_tridiagonal,
 )
@@ -89,10 +89,10 @@ class TestTridiagonal:
 
 class TestBinomialPmf:
     def test_fair_coin(self):
-        assert log_binomial_pmf(2, 1, 0.5) == pytest.approx(0.5, rel=1e-14)
+        assert binomial_pmf(2, 1, 0.5) == pytest.approx(0.5, rel=1e-14)
 
     def test_total_probability(self):
-        total = sum(log_binomial_pmf(50, k, 0.3) for k in range(51))
+        total = sum(binomial_pmf(50, k, 0.3) for k in range(51))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_large_n_matches_recurrence_oracle(self):
@@ -101,19 +101,19 @@ class TestBinomialPmf:
         val = 0.5**n
         for k in range(500):
             val *= (n - k) / (k + 1) * (p / (1.0 - p))
-        assert log_binomial_pmf(n, 500, p) == pytest.approx(val, rel=1e-10)
+        assert binomial_pmf(n, 500, p) == pytest.approx(val, rel=1e-10)
 
     def test_degenerate_p(self):
-        assert log_binomial_pmf(5, 0, 0.0) == 1.0
-        assert log_binomial_pmf(5, 3, 0.0) == 0.0
-        assert log_binomial_pmf(5, 5, 1.0) == 1.0
-        assert log_binomial_pmf(5, 4, 1.0) == 0.0
+        assert binomial_pmf(5, 0, 0.0) == 1.0
+        assert binomial_pmf(5, 3, 0.0) == 0.0
+        assert binomial_pmf(5, 5, 1.0) == 1.0
+        assert binomial_pmf(5, 4, 1.0) == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            log_binomial_pmf(3, 4, 0.5)
+            binomial_pmf(3, 4, 0.5)
         with pytest.raises(DomainError):
-            log_binomial_pmf(3, 1, 1.5)
+            binomial_pmf(3, 1, 1.5)
 
     @given(
         n=st.integers(0, 200),
@@ -124,8 +124,8 @@ class TestBinomialPmf:
     def test_symmetry(self, n, p, data):
         assume(1.0 - (1.0 - p) == p)  # skip p where 1-p itself cancels digits
         k = data.draw(st.integers(0, n))
-        a = log_binomial_pmf(n, k, p)
-        b = log_binomial_pmf(n, n - k, 1.0 - p)
+        a = binomial_pmf(n, k, p)
+        b = binomial_pmf(n, n - k, 1.0 - p)
         assert a == pytest.approx(b, rel=1e-13, abs=1e-300)
 
     def test_vector_matches_scalar(self):
@@ -134,5 +134,5 @@ class TestBinomialPmf:
         for k in range(8):
             for i, p in enumerate(p1):
                 assert table[k, i] == pytest.approx(
-                    log_binomial_pmf(7, k, p), rel=1e-13, abs=1e-300
+                    binomial_pmf(7, k, p), rel=1e-13, abs=1e-300
                 )
