@@ -63,7 +63,6 @@ from .models import (
     noon_model,
 )
 from .numerics import (
-    binomial_pmf,
     composite_simpson,
     solve_tridiagonal,
 )

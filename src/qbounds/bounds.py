@@ -129,9 +129,10 @@ def bayesian_qcrb(p: EstimationProblem) -> BoundReport:
 def optimal_bias_closed_form(j: float, a: float, grid: ParameterGrid) -> GridFunction:
     """Optimal bias for uniform prior on (0, a), constant effective QFI j, f=x.
 
-    b(x) = [cosh(sqrt(j)(a-x)) - cosh(sqrt(j) x)] / (sqrt(j) sinh(sqrt(j) a)),
-    evaluated in the exponential form with all exponents <= 0 so large
-    sqrt(j)*a never overflows.
+    b(x) = sinh(r(a/2 - x)) / (r cosh(ra/2)) with r = sqrt(j), evaluated as
+    sign(a-2x) exp(-r min(x, a-x)) (1 - exp(-r|a-2x|)) / (r (1 + exp(-ra))):
+    every exponent is <= 0, so large r*a never overflows, and expm1 keeps
+    the limit b -> a/2 - x as a^2 j -> 0 free of cancellation.
     """
     if j <= 0.0:
         raise DomainError(f"QFI must be positive, got {j}")
@@ -139,14 +140,9 @@ def optimal_bias_closed_form(j: float, a: float, grid: ParameterGrid) -> GridFun
         raise DomainError(f"support width must be positive, got {a}")
     r = np.sqrt(j)
     x = grid.nodes()
-    num = (
-        np.exp(-r * x)
-        + np.exp(-r * (2.0 * a - x))
-        - np.exp(-r * (a - x))
-        - np.exp(-r * (a + x))
-    )
-    den = r * (1.0 - np.exp(-2.0 * r * a))
-    return GridFunction(grid, num / den)
+    b = np.sign(a - 2.0 * x) * np.exp(-r * np.minimum(x, a - x)) \
+        * -np.expm1(-r * np.abs(a - 2.0 * x)) / (r * (1.0 + np.exp(-r * a)))
+    return GridFunction(grid, b)
 
 
 def obb_closed_form(

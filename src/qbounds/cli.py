@@ -81,6 +81,9 @@ _EXAMPLES = {
 # Other names for a parameter: the dephasing decay rate gamma = -ln(eta).
 _ALIASES = {"gamma": "eta"}
 
+# Longest --n-range accepted: each n is a full bound and MMSE evaluation.
+_MAX_N_RANGE = 10_000
+
 # Ordering tolerances enforced on every emitted row.
 _OBB_VS_QCRB_TOL = 1e-12
 _OBB_VS_MMSE_TOL = 1e-10
@@ -223,6 +226,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     if args.n_range:
         lo, hi = _pair(args.n_range.split(":"), "--n-range", integral=True)
+        if hi - lo >= _MAX_N_RANGE:
+            raise ConfigError(f"--n-range holds more than {_MAX_N_RANGE} values, "
+                              f"got {args.n_range!r}")
         n_list = list(range(lo, hi + 1))
     else:
         n_list = [args.n] if args.n is not None else file_cfg.get("n_list", [1])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import GridFunction, ParameterGrid, PriorDensity, TargetFunction
 from .errors import DomainError, GridMismatch, ZeroEvidence
-from .numerics import composite_simpson, log_binomial_pmf_vector
+from .numerics import composite_simpson, log_binomial_pmf_vector, simpson_weights
 
 __all__ = [
     "BinaryMeasurementModel",
@@ -34,7 +34,6 @@ class BinaryMeasurementModel:
     """Single-shot probability of outcome 1 as a function of the parameter."""
 
     p1: GridFunction
-    label: str = ""
 
     def __post_init__(self) -> None:
         v = self.p1.values
@@ -84,24 +83,20 @@ def posterior(
 
 
 def _estimates_and_mask(m: BinaryMeasurementModel, prior: PriorDensity, n: int):
-    """Posterior means per outcome count, plus the zero-evidence mask."""
-    _check_shared_grid(m, prior)
-    grid = m.grid
-    x = grid.nodes()
-    p = prior.samples.values
-    like = likelihood_table(m, n)                       # (n+1, m)
-    joint = like * p[None, :]
-    w = grid.h / 3.0 * np.where(
-        (np.arange(grid.m) % 2 == 1), 4.0, 2.0
-    )
-    w[0] = w[-1] = grid.h / 3.0                         # Simpson weights
-    evidence = joint @ w
-    first_moment = joint @ (w * x)
+    """(likelihood table, posterior mean per outcome count, zero-evidence mask).
 
-    prior_mean = float(composite_simpson(p * x, grid.h))
+    Evidence and first moment are Simpson sums over x, taken as products of
+    the table with the prior-weighted Simpson weights.
+    """
+    _check_shared_grid(m, prior)
+    x = m.grid.nodes()
+    wp = simpson_weights(m.grid.m, m.grid.h) * prior.samples.values
+    like = likelihood_table(m, n)                       # (n+1, m)
+    evidence = like @ wp
+    first_moment = like @ (wp * x)
     zero = evidence <= 0.0
-    estimates = np.where(zero, prior_mean, first_moment / np.where(zero, 1.0, evidence))
-    return estimates, zero, like, w, x, p
+    estimates = np.where(zero, wp @ x, first_moment / np.where(zero, 1.0, evidence))
+    return like, estimates, zero
 
 
 def mmse_estimates(
@@ -112,8 +107,7 @@ def mmse_estimates(
     Zero-evidence outcomes (impossible under the model) are reported as the
     prior mean; they carry zero probability weight in any risk sum.
     """
-    estimates, _, _, _, _, _ = _estimates_and_mask(m, prior, n)
-    return estimates
+    return _estimates_and_mask(m, prior, n)[1]
 
 
 def mmse_mse(
@@ -132,7 +126,8 @@ def mmse_mse(
         raise GridMismatch("target must live on the measurement grid")
     if not target.is_identity():
         raise DomainError("MMSE simulation is defined for the identity target only")
-    estimates, zero, like, _, x, p = _estimates_and_mask(m, prior, n)
+    like, estimates, zero = _estimates_and_mask(m, prior, n)
+    x, p = m.grid.nodes(), prior.samples.values
 
     sq = (estimates[:, None] - x[None, :]) ** 2         # (n+1, m)
     risk_density = p * np.einsum("km,km->m", like, sq)
@@ -151,7 +146,8 @@ def mse_via_decomposition(
     \\int p(x) [ Var(x_hat | x) + bias(x)^2 ] dx; independent route used to
     cross-check mmse_mse.
     """
-    estimates, _, like, _, x, p = _estimates_and_mask(m, prior, n)
+    like, estimates, _ = _estimates_and_mask(m, prior, n)
+    x, p = m.grid.nodes(), prior.samples.values
     conditional_mean = estimates @ like
     dev = (estimates[:, None] - conditional_mean[None, :]) ** 2
     var = np.einsum("km,km->m", like, dev)

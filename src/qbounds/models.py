@@ -123,7 +123,7 @@ def noon_model(
     qfi = QfiProfile.constant(grid, float(params.N) ** 2, n)
     problem = _uniform_problem(prior_support, m, qfi)
     p1 = np.sin(params.N * grid.nodes() / 2.0) ** 2
-    model = BinaryMeasurementModel(GridFunction(grid, p1), f"noon(N={params.N})")
+    model = BinaryMeasurementModel(GridFunction(grid, p1))
     return problem, model
 
 
@@ -141,9 +141,7 @@ def dephasing_model(
     qfi = QfiProfile.constant(grid, eta**2, n)
     problem = _uniform_problem(prior_support, m, qfi)
     p1 = (1.0 - eta * np.cos(grid.nodes())) / 2.0
-    model = BinaryMeasurementModel(
-        GridFunction(grid, p1), f"dephasing(eta={eta:.6g})"
-    )
+    model = BinaryMeasurementModel(GridFunction(grid, p1))
     return problem, model
 
 
@@ -213,5 +211,5 @@ def field_model(
     qfi = QfiProfile(GridFunction(grid, j), GridFunction(grid, j_prime), n)
     problem = _uniform_problem(prior_support, m, qfi)
     p1 = s2 * np.sin(x) ** 2
-    model = BinaryMeasurementModel(GridFunction(grid, p1), f"field(B={params.B:.6g})")
+    model = BinaryMeasurementModel(GridFunction(grid, p1))
     return problem, model

@@ -14,26 +14,32 @@ from scipy.special import gammaln, xlogy
 from .errors import DomainError, InvalidGrid, SingularSystem
 
 __all__ = [
+    "simpson_weights",
     "composite_simpson",
     "solve_tridiagonal",
-    "binomial_pmf",
     "log_binomial_pmf_vector",
 ]
 
 
-def composite_simpson(values: np.ndarray, h: float) -> float:
-    """Composite Simpson rule over uniformly spaced samples.
+def simpson_weights(m: int, h: float) -> np.ndarray:
+    """Composite Simpson weights (h/3)(1, 4, 2, ..., 2, 4, 1) for m samples.
 
-    Requires an odd number of samples (an even number of panels). Exact for
-    cubics on each panel pair.
+    Requires an odd sample count (an even number of panels). The weighted
+    sum is exact for cubics on each panel pair.
     """
-    y = np.asarray(values, dtype=float)
-    m = y.shape[-1]
     if m < 3 or m % 2 == 0:
         raise InvalidGrid(f"Simpson rule needs an odd sample count >= 3, got {m}")
-    acc = y[..., 0] + y[..., -1] + 4.0 * y[..., 1:-1:2].sum(axis=-1) \
-        + 2.0 * y[..., 2:-2:2].sum(axis=-1)
-    return acc * (h / 3.0)
+    w = np.full(m, 2.0)
+    w[1::2] = 4.0
+    w[[0, -1]] = 1.0
+    w *= h / 3.0
+    return w
+
+
+def composite_simpson(values: np.ndarray, h: float) -> float:
+    """Composite Simpson rule over uniformly spaced samples (last axis)."""
+    y = np.asarray(values, dtype=float)
+    return y @ simpson_weights(y.shape[-1], h)
 
 
 # Pivot magnitude below this fraction of the row scale aborts the solve.
@@ -61,36 +67,20 @@ def solve_tridiagonal(
     return u
 
 
-def binomial_pmf(n: int, k: int, p1: float) -> float:
-    """C(n,k) * p1^k * (1-p1)^(n-k), accumulated in log space.
-
-    Log-gamma accumulation of the binomial coefficient keeps n ~ 10^3
-    regimes finite. Degenerate p1 in {0, 1} yields exact 0/1 values.
-    """
-    if not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if not 0.0 <= p1 <= 1.0:
-        raise DomainError(f"p1 must lie in [0, 1], got {p1}")
-    log_coeff = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    # xlogy(0, 0) = 0 handles the deterministic-outcome corners exactly.
-    log_p = xlogy(k, p1) + xlogy(n - k, 1.0 - p1)
-    if np.isneginf(log_p):
-        return 0.0
-    return float(np.exp(log_coeff + log_p))
-
-
 def log_binomial_pmf_vector(n: int, p1: np.ndarray) -> np.ndarray:
     """Full binomial likelihood table over a vector of success probabilities.
 
-    Returns shape (n+1, len(p1)); row k is C(n,k) p1^k (1-p1)^(n-k) evaluated
-    elementwise, with the same log-space arithmetic as binomial_pmf.
+    Returns shape (n+1, len(p1)); row k is C(n,k) p1^k (1-p1)^(n-k), summed
+    in log space (log-gamma coefficients keep n ~ 10^3 finite) and
+    exponentiated in place. xlogy(0, 0) = 0 makes the degenerate p1 in
+    {0, 1} exact, and an impossible outcome's log is -inf, so its
+    probability is exactly 0.
     """
     p1 = np.asarray(p1, dtype=float)
     if p1.min() < 0.0 or p1.max() > 1.0:
         raise DomainError("p1 samples must lie in [0, 1]")
     k = np.arange(n + 1)[:, None]
-    log_coeff = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    log_p = xlogy(k, p1[None, :]) + xlogy(n - k, 1.0 - p1[None, :])
-    out = np.exp(log_coeff + log_p)
-    out[np.isneginf(log_p)] = 0.0
-    return out
+    out = xlogy(k, p1)
+    out += xlogy(n - k, 1.0 - p1)
+    out += gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    return np.exp(out, out=out)

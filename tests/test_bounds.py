@@ -143,9 +143,15 @@ class TestClosedFormBound:
     def test_prior_variance_limit_holds_to_roundoff(self):
         # 1/J and the tanh term cancel as a^2 J -> 0; the value must still
         # match a^2/12 - a^4 J/120, whose next term is O(a^6 J^2)
+        # the bias tends to a/2 - x, with a relative correction O(a^2 J)
+        x = ParameterGrid(0.0, A_NOON, 4001).nodes()
         for j in (1e-10, 1e-14, 1e-18):
             limit = A_NOON**2 / 12.0 - A_NOON**4 * j / 120.0
-            assert obb_closed_form(j, A_NOON).value == pytest.approx(limit, rel=1e-12)
+            rep = obb_closed_form(j, A_NOON)
+            assert rep.value == pytest.approx(limit, rel=1e-12)
+            b_limit = A_NOON / 2.0 - x
+            err = np.max(np.abs(rep.bias.values - b_limit))
+            assert err <= 1e-12 * np.max(np.abs(b_limit))
         # the series and the direct form meet at z = a sqrt(J)/2 = _SERIES_Z
         j_branch = (2.0 * _SERIES_Z / A_NOON) ** 2
         below = obb_closed_form(np.nextafter(j_branch, 0.0), A_NOON).value

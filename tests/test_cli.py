@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from qbounds.cli import main
+from qbounds.cli import build_config, main, make_parser
 
 # small grid keeps the CLI suite fast; still odd and Simpson-compatible
 GRID = ["--grid", "1001"]
@@ -257,6 +257,10 @@ class TestParameterChecks:
                           "--param", "B=inf"), None, id="infinite-B"),
             pytest.param(("bounds", "--example", "noon", "--n-range", "1.9:3.9"),
                          None, id="fractional-n-range"),
+            pytest.param(("bounds", "--example", "noon", "--n-range", "1:1e300"),
+                         None, id="huge-n-range"),
+            pytest.param(("bounds", "--example", "noon", "--n-range", "5:10005"),
+                         None, id="n-range-past-limit"),
             pytest.param(("bias", "--example", "dephasing", "--n", "1",
                           "--sweep", "eta=0.1,0.5"), None, id="bias-sweep"),
             pytest.param(("bias", "--example", "noon", "--n-range", "1:5"), None,
@@ -283,6 +287,12 @@ class TestParameterChecks:
         err = capsys.readouterr().err
         assert err.startswith("qbounds: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_n_range_at_limit_accepted(self):
+        # parsed only: 10000 rows at n up to 10004 would take far too long
+        args = make_parser().parse_args(
+            ["bounds", "--example", "noon", "--n-range", "5:10004"])
+        assert build_config(args).n_list == list(range(5, 10005))
 
     def test_integral_float_accepted(self, tmp_path):
         args = ("bounds", "--example", "noon", "--n-range", "1:3", *GRID)

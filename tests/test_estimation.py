@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp, xlogy
 
 from qbounds.bounds import obb_variational
 from qbounds.core import GridFunction, ParameterGrid, TargetFunction, make_uniform_prior
@@ -89,7 +90,7 @@ class TestPosterior:
 
     def test_zero_evidence(self):
         grid = ParameterGrid(0.0, 1.0, 101)
-        model = BinaryMeasurementModel(GridFunction(grid, np.zeros(101)), "dark")
+        model = BinaryMeasurementModel(GridFunction(grid, np.zeros(101)))
         prior = make_uniform_prior(0.0, 1.0, 101)
         with pytest.raises(ZeroEvidence):
             posterior(model, prior, 1, 1)
@@ -124,6 +125,34 @@ class TestMmseEstimates:
         est = mmse_estimates(model, problem.prior, 12)
         assert est.min() >= 0.0
         assert est.max() <= math.pi / 2.0
+
+
+class TestLogSpaceBayes:
+    """Posterior means against Bayes' rule summed in log space."""
+
+    @pytest.mark.parametrize("n", [1, 30, 300])
+    @pytest.mark.parametrize("build", [
+        lambda n: noon(n),
+        lambda n: dephasing_model(DephasingParams.from_eta(0.8), (0.0, math.pi), 4001, n),
+        lambda n: field_model(FieldParams(math.pi / 2), (0.0, math.pi / 2), 4001, n),
+    ], ids=["noon", "dephasing", "field"])
+    def test_estimates_match_log_space_bayes(self, build, n):
+        problem, model = build(n)
+        grid = problem.grid
+        x, p1 = grid.nodes(), model.p1.values
+        weights = np.full(grid.m, 2.0)
+        weights[1::2] = 4.0
+        weights[[0, -1]] = 1.0
+        k = np.arange(n + 1)[:, None]
+        log_joint = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                     + xlogy(k, p1) + xlogy(n - k, 1.0 - p1)
+                     + np.log(weights * grid.h / 3.0 * problem.prior.samples.values))
+        log_evidence = logsumexp(log_joint, axis=1)
+        means = np.exp(log_joint - log_evidence[:, None]) @ x
+        live = log_evidence > math.log(1e-280)
+        assert live.sum() > n // 2
+        est = mmse_estimates(model, problem.prior, n)
+        np.testing.assert_allclose(est[live], means[live], rtol=1e-12, atol=0)
 
 
 class TestMmseMse:
@@ -191,7 +220,7 @@ class TestMmseMse:
 
     def test_zero_evidence_outcomes_flagged(self):
         grid = ParameterGrid(0.0, 1.0, 201)
-        model = BinaryMeasurementModel(GridFunction(grid, np.zeros(201)), "dark")
+        model = BinaryMeasurementModel(GridFunction(grid, np.zeros(201)))
         prior = make_uniform_prior(0.0, 1.0, 201)
         rep = mmse_mse(model, prior, 2, TargetFunction.identity(grid))
         np.testing.assert_array_equal(rep.zero_evidence, [False, True, True])

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from qbounds.core import GridFunction, ParameterGrid
 from qbounds.errors import DomainError, InvalidGrid, SingularSystem
 from qbounds.numerics import (
     composite_simpson,
-    binomial_pmf,
     log_binomial_pmf_vector,
+    simpson_weights,
     solve_tridiagonal,
 )
 
@@ -38,6 +39,17 @@ class TestSimpson:
     def test_even_sample_count_rejected(self):
         with pytest.raises(InvalidGrid):
             composite_simpson(np.ones(10), 0.1)
+        with pytest.raises(InvalidGrid):
+            simpson_weights(1, 0.1)
+
+    def test_weights_match_panel_sums(self):
+        # reference: (h/3)(y_0 + y_m + 4 sum(odd) + 2 sum(interior even))
+        y = np.random.default_rng(7).normal(size=(3, 401))
+        h = 0.01
+        ref = (y[:, 0] + y[:, -1] + 4.0 * y[:, 1:-1:2].sum(axis=1)
+               + 2.0 * y[:, 2:-2:2].sum(axis=1)) * (h / 3.0)
+        np.testing.assert_allclose(composite_simpson(y, h), ref, rtol=1e-13)
+        np.testing.assert_array_equal(simpson_weights(5, 3.0), [1.0, 4.0, 2.0, 4.0, 1.0])
 
     @given(
         alpha=st.floats(-5, 5),
@@ -87,13 +99,17 @@ class TestTridiagonal:
         assert np.max(np.abs(u - expected)) <= 1e-10 * max(np.max(np.abs(rhs)), 1.0)
 
 
+def pmf(n, k, p):
+    return log_binomial_pmf_vector(n, np.array([p]))[k, 0]
+
+
 class TestBinomialPmf:
     def test_fair_coin(self):
-        assert binomial_pmf(2, 1, 0.5) == pytest.approx(0.5, rel=1e-14)
+        assert pmf(2, 1, 0.5) == pytest.approx(0.5, rel=1e-14)
 
     def test_total_probability(self):
-        total = sum(binomial_pmf(50, k, 0.3) for k in range(51))
-        assert total == pytest.approx(1.0, abs=1e-12)
+        table = log_binomial_pmf_vector(50, np.array([0.0, 0.3, 0.77, 1.0]))
+        np.testing.assert_allclose(table.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
     def test_large_n_matches_recurrence_oracle(self):
         # pmf(k+1)/pmf(k) = ((n-k)/(k+1)) * (p/(1-p)); build up from k=0
@@ -101,19 +117,18 @@ class TestBinomialPmf:
         val = 0.5**n
         for k in range(500):
             val *= (n - k) / (k + 1) * (p / (1.0 - p))
-        assert binomial_pmf(n, 500, p) == pytest.approx(val, rel=1e-10)
+        assert pmf(n, 500, p) == pytest.approx(val, rel=1e-10)
 
     def test_degenerate_p(self):
-        assert binomial_pmf(5, 0, 0.0) == 1.0
-        assert binomial_pmf(5, 3, 0.0) == 0.0
-        assert binomial_pmf(5, 5, 1.0) == 1.0
-        assert binomial_pmf(5, 4, 1.0) == 0.0
+        table = log_binomial_pmf_vector(5, np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(table[:, 0], [1.0, 0, 0, 0, 0, 0])
+        np.testing.assert_array_equal(table[:, 1], [0, 0, 0, 0, 0, 1.0])
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            binomial_pmf(3, 4, 0.5)
+            log_binomial_pmf_vector(3, np.array([0.5, 1.5]))
         with pytest.raises(DomainError):
-            binomial_pmf(3, 1, 1.5)
+            log_binomial_pmf_vector(3, np.array([-0.1]))
 
     @given(
         n=st.integers(0, 200),
@@ -124,15 +139,15 @@ class TestBinomialPmf:
     def test_symmetry(self, n, p, data):
         assume(1.0 - (1.0 - p) == p)  # skip p where 1-p itself cancels digits
         k = data.draw(st.integers(0, n))
-        a = binomial_pmf(n, k, p)
-        b = binomial_pmf(n, n - k, 1.0 - p)
-        assert a == pytest.approx(b, rel=1e-13, abs=1e-300)
+        table = log_binomial_pmf_vector(n, np.array([p, 1.0 - p]))
+        assert table[k, 0] == pytest.approx(table[n - k, 1], rel=1e-13, abs=1e-300)
 
     def test_vector_matches_scalar(self):
-        p1 = np.array([0.0, 0.2, 0.5, 0.9, 1.0])
-        table = log_binomial_pmf_vector(7, p1)
-        for k in range(8):
-            for i, p in enumerate(p1):
-                assert table[k, i] == pytest.approx(
-                    binomial_pmf(7, k, p), rel=1e-13, abs=1e-300
-                )
+        # scipy's scalar pmf is an independent reference for every cell
+        p1 = np.array([0.0, 1e-3, 0.2, 0.5, 0.9, 1.0 - 1e-9, 1.0])
+        for n, rel in ((7, 1e-13), (300, 1e-11)):
+            table = log_binomial_pmf_vector(n, p1)
+            expected = binom.pmf(np.arange(n + 1)[:, None], n, p1)
+            live = expected > 1e-280
+            np.testing.assert_allclose(table[live], expected[live], rtol=rel, atol=0)
+            assert np.all(table[~live] <= 1e-270)
