@@ -27,7 +27,7 @@ for tenth in range(1, 11):
     )
     qcrb = bayesian_qcrb(problem).value
     obb = obb_variational(problem).value
-    mse = mmse_mse(model, problem.prior, N_SHOTS, problem.target).mse
+    mse = mmse_mse(model, problem.prior, N_SHOTS).mse
     print(f"{eta:>5.1f} {qcrb:12.6g} {obb:12.6g} {mse:12.6g}")
 
 print(f"\nuniform-prior variance baseline: {math.pi**2 / 12:.6g}")

@@ -23,7 +23,7 @@ for n in (1, 2, 3, 5, 10, 20, 30):
     problem, model = field_model(FieldParams(math.pi / 2.0), SUPPORT, GRID_M, n)
     qcrb = bayesian_qcrb(problem).value
     rep = obb_variational(problem)
-    mse = mmse_mse(model, problem.prior, n, problem.target).mse
+    mse = mmse_mse(model, problem.prior, n).mse
     print(
         f"{n:>3} {qcrb:12.6g} {rep.value:12.6g} {mse:12.6g} "
         f"{rep.diagnostics.ode_residual_max:13.3e}"

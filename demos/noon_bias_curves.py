@@ -18,7 +18,7 @@ COUNTS = (1, 2, 3, 15, 20)
 curves = {}
 for n in COUNTS:
     problem, model = noon_model(NoonParams(10), SUPPORT, GRID_M, n)
-    curves[n] = mmse_mse(model, problem.prior, n, problem.target).bias_curve.values
+    curves[n] = mmse_mse(model, problem.prior, n).bias_curve.values
 
 problem1, _ = noon_model(NoonParams(10), SUPPORT, GRID_M, 1)
 optimal = solve_optimal_bias(problem1).values

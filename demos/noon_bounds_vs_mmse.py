@@ -19,7 +19,7 @@ for n in range(1, 31):
     problem, model = noon_model(NoonParams(10), SUPPORT, GRID_M, n)
     qcrb = bayesian_qcrb(problem).value
     obb = obb_variational(problem).value
-    mse = mmse_mse(model, problem.prior, n, problem.target).mse
+    mse = mmse_mse(model, problem.prior, n).mse
     note = "mmse < qcrb (!)" if mse < qcrb else ""
     print(f"{n:>3} {qcrb:12.6g} {obb:12.6g} {mse:12.6g}  {note}")
 

@@ -6,13 +6,11 @@ binomial measurement models, on a shared deterministic grid.
 """
 
 from .bounds import (
-    BoundMethod,
     BoundReport,
     SolverDiagnostics,
     bayesian_qcrb,
     bias_ode_residual,
     bound_functional,
-    grid_derivative,
     obb_closed_form,
     obb_variational,
     optimal_bias_closed_form,
@@ -30,7 +28,6 @@ from .core import (
 )
 from .errors import (
     ConfigError,
-    ConvergenceFailure,
     DomainError,
     GridMismatch,
     InvalidGrid,
@@ -41,7 +38,6 @@ from .errors import (
     SingularSystem,
     UnnormalizedPrior,
     UnsupportedExample,
-    ZeroEvidence,
 )
 from .estimation import (
     BinaryMeasurementModel,
@@ -49,7 +45,6 @@ from .estimation import (
     mmse_estimates,
     mmse_mse,
     mse_via_decomposition,
-    posterior,
 )
 from .models import (
     DephasingParams,

@@ -15,8 +15,8 @@ digits, rows are ordered by axis value, and nothing in the pipeline is
 random. Every run can also emit a JSON report (``--report``) whose config
 echo reproduces the identical CSV when fed back through ``--config``.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 invariant violation in the emitted rows.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (or out
+of memory), 4 invariant violation in the emitted rows.
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ from .bounds import bayesian_qcrb, obb_variational
 from .core import DEFAULT_GRID_M
 from .errors import (
     ConfigError,
-    ConvergenceFailure,
     InvariantViolation,
     QboundsError,
     SingularSystem,
@@ -300,7 +299,7 @@ def run_bounds_sweep(config: RunConfig) -> list[dict]:
         obb = obb_variational(problem)
         mmse = None
         if model is not None:
-            mmse = mmse_mse(model, problem.prior, n, problem.target).mse
+            mmse = mmse_mse(model, problem.prior, n).mse
         row = {
             "axis": axis,
             "qcrb": qcrb,
@@ -331,7 +330,7 @@ def run_bias_dump(config: RunConfig) -> list[dict]:
     """Solved optimal bias next to the MMSE estimator bias at one n."""
     problem, model, n = _measured_point(config)
     report = obb_variational(problem)
-    bias_mmse = mmse_mse(model, problem.prior, n, problem.target).bias_curve
+    bias_mmse = mmse_mse(model, problem.prior, n).bias_curve
     x = problem.grid.nodes()
     rows = [
         {"x": x[i], "bias_opt": report.bias.values[i],
@@ -345,7 +344,7 @@ def run_bias_dump(config: RunConfig) -> list[dict]:
 def run_mmse(config: RunConfig) -> list[dict]:
     """Posterior-mean estimates and risk for one n."""
     problem, model, n = _measured_point(config)
-    rep = mmse_mse(model, problem.prior, n, problem.target)
+    rep = mmse_mse(model, problem.prior, n)
     return [
         {"k": k, "estimate": rep.estimates[k],
          "zero_evidence": int(rep.zero_evidence[k]), "mse": rep.mse}
@@ -362,17 +361,11 @@ _CSV_COLUMNS = {
 
 def render_csv(command: str, rows: list[dict]) -> str:
     cols = _CSV_COLUMNS[command]
-    lines = [",".join(cols)]
-    for row in rows:
-        cells = []
-        for c in cols:
-            v = row[c]
-            if c in ("k", "zero_evidence"):
-                cells.append(str(int(v)))
-            else:
-                cells.append(_fmt(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    # integer cells print as integers: format(float(k), ".12g") == str(k)
+    # for every k below 1e12
+    return "\n".join(
+        [",".join(cols), *[",".join([_fmt(row[c]) for c in cols]) for row in rows]]
+    ) + "\n"
 
 
 def emit_report(
@@ -448,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"qbounds: output invariant violated: {exc}", file=sys.stderr)
         return 4
-    except (SingularSystem, ConvergenceFailure) as exc:
+    except (SingularSystem, MemoryError) as exc:
         print(f"qbounds: numerical failure: {exc}", file=sys.stderr)
         return 3
     except QboundsError as exc:

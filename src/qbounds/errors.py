@@ -38,14 +38,6 @@ class SingularSystem(QboundsError):
     """The discretized BVP cannot be solved: a vanishing pivot, or 1/h^2 overflows."""
 
 
-class ZeroEvidence(QboundsError):
-    """Measurement outcome has zero probability under prior and model."""
-
-
-class ConvergenceFailure(QboundsError):
-    """Iterative root-finding failed to bracket or converge."""
-
-
 class ConfigError(QboundsError):
     """CLI / run configuration is invalid."""
 

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, ParameterGrid, PriorDensity, TargetFunction
-from .errors import DomainError, GridMismatch, ZeroEvidence
+from .core import GridFunction, ParameterGrid, PriorDensity
+from .errors import DomainError, GridMismatch
 from .numerics import composite_simpson, log_binomial_pmf_vector, simpson_weights
 
 __all__ = [
     "BinaryMeasurementModel",
     "MmseReport",
     "likelihood_table",
-    "posterior",
     "mmse_estimates",
     "mmse_mse",
     "mse_via_decomposition",
@@ -49,7 +48,6 @@ class BinaryMeasurementModel:
 class MmseReport:
     """MMSE estimator summary for one repetition count."""
 
-    n: int
     estimates: np.ndarray          # posterior mean per outcome count k
     mse: float                     # Bayes risk of the posterior-mean estimator
     bias_curve: GridFunction       # E[x_hat | x] - x
@@ -66,20 +64,6 @@ def likelihood_table(m: BinaryMeasurementModel, n: int) -> np.ndarray:
 def _check_shared_grid(m: BinaryMeasurementModel, prior: PriorDensity) -> None:
     if m.grid != prior.grid:
         raise GridMismatch("measurement model and prior must share one grid")
-
-
-def posterior(
-    m: BinaryMeasurementModel, prior: PriorDensity, n: int, k: int
-) -> GridFunction:
-    """Posterior density p(x|k) by Bayes' rule, Simpson-normalized."""
-    if not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
-    _check_shared_grid(m, prior)
-    joint = likelihood_table(m, n)[k] * prior.samples.values
-    evidence = composite_simpson(joint, m.grid.h)
-    if evidence <= 0.0:
-        raise ZeroEvidence(f"outcome k={k} has zero probability under the model")
-    return GridFunction(m.grid, joint / evidence)
 
 
 def _estimates_and_mask(m: BinaryMeasurementModel, prior: PriorDensity, n: int):
@@ -110,22 +94,13 @@ def mmse_estimates(
     return _estimates_and_mask(m, prior, n)[1]
 
 
-def mmse_mse(
-    m: BinaryMeasurementModel,
-    prior: PriorDensity,
-    n: int,
-    target: TargetFunction,
-) -> MmseReport:
+def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseReport:
     """Bayes risk and bias curve of the posterior-mean estimator of x.
 
     mse = \\int p(x) sum_k (x_hat(k) - x)^2 p(k|x) dx, and
-    bias_curve(x) = sum_k x_hat(k) p(k|x) - x. Only the identity target is
-    supported: the posterior-mean workflow estimates the parameter itself.
+    bias_curve(x) = sum_k x_hat(k) p(k|x) - x. The estimator targets the
+    parameter itself (f(x) = x).
     """
-    if target.grid != m.grid:
-        raise GridMismatch("target must live on the measurement grid")
-    if not target.is_identity():
-        raise DomainError("MMSE simulation is defined for the identity target only")
     like, estimates, zero = _estimates_and_mask(m, prior, n)
     x, p = m.grid.nodes(), prior.samples.values
 
@@ -135,7 +110,7 @@ def mmse_mse(
 
     conditional_mean = estimates @ like                 # E[x_hat | x]
     bias_curve = GridFunction(m.grid, conditional_mean - x)
-    return MmseReport(n, estimates, mse, bias_curve, zero)
+    return MmseReport(estimates, mse, bias_curve, zero)
 
 
 def mse_via_decomposition(

@@ -30,7 +30,7 @@ from .core import (
     TargetFunction,
     make_uniform_prior,
 )
-from .errors import ConvergenceFailure, DomainError
+from .errors import DomainError
 from .estimation import BinaryMeasurementModel
 
 __all__ = [
@@ -145,21 +145,16 @@ def dephasing_model(
     return problem, model
 
 
-def _solve_alpha_sq(n_b: float, tol: float = 1e-12) -> float:
+def _solve_alpha_sq(n_b: float) -> float:
     """Solve u tanh(u) = n_b for u = |alpha|^2 >= 0.
 
-    u tanh u is strictly increasing from 0, so a bracket always exists for
-    n_b >= 0.
+    u tanh u is strictly increasing from 0 and u tanh u > u - 0.1 at
+    u = n_b + 2 >= 2, so [0, n_b + 2] brackets the root for n_b >= 0.
     """
     if n_b == 0.0:
         return 0.0
-    fn = lambda u: u * math.tanh(u) - n_b
-    hi = max(1.0, n_b + 2.0)
-    while fn(hi) < 0.0:  # widen defensively; u tanh u ~ u for large u
-        hi *= 2.0
-        if hi > 1e12:
-            raise ConvergenceFailure(f"cannot bracket u tanh u = {n_b}")
-    return float(brentq(fn, 0.0, hi, xtol=tol, rtol=8.881784197001252e-16))
+    return float(brentq(lambda u: u * math.tanh(u) - n_b, 0.0, n_b + 2.0,
+                        xtol=1e-12, rtol=8.881784197001252e-16))
 
 
 def interferometer_qfi(params: InterferometerParams) -> float:

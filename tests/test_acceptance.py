@@ -13,7 +13,6 @@ import pytest
 from qbounds.bounds import (
     bayesian_qcrb,
     bound_functional,
-    grid_derivative,
     obb_closed_form,
     obb_variational,
     solve_optimal_bias,
@@ -96,7 +95,7 @@ def test_criterion_3_bound_validity():
         nonlocal checked
         obb = obb_variational(problem).value
         qcrb = bayesian_qcrb(problem).value
-        mse = mmse_mse(model, problem.prior, n, problem.target).mse
+        mse = mmse_mse(model, problem.prior, n).mse
         assert obb <= mse + 1e-10
         assert obb <= qcrb + 1e-12
         checked += 1
@@ -115,13 +114,13 @@ def test_criterion_3_bound_validity():
 def test_criterion_4_qcrb_failure_regime():
     problem, model = noon_model(NoonParams(10), (0.0, A_NOON), M, 1)
     qcrb = bayesian_qcrb(problem).value
-    mse1 = mmse_mse(model, problem.prior, 1, problem.target).mse
+    mse1 = mmse_mse(model, problem.prior, 1).mse
     prior_var = A_NOON**2 / 12.0
     assert mse1 < qcrb
     assert mse1 <= prior_var
     assert prior_var == pytest.approx(0.0082247, abs=5e-8)
     assert qcrb == pytest.approx(0.01, rel=1e-12)
-    mse0 = mmse_mse(model, problem.prior, 0, problem.target).mse
+    mse0 = mmse_mse(model, problem.prior, 0).mse
     assert mse0 == pytest.approx(prior_var, abs=1e-10)
     report(4, f"n=1 MMSE {mse1:.6f} < prior var {prior_var:.6f} < QCRB {qcrb:.6f}")
 
@@ -151,7 +150,7 @@ def test_criterion_6_mse_decomposition_identity():
             dephasing_model(DephasingParams.from_eta(0.7), (0.0, math.pi), M, n),
             field_model(FieldParams(math.pi / 2), (0.0, math.pi / 2), M, n),
         ):
-            direct = mmse_mse(model, problem.prior, n, problem.target).mse
+            direct = mmse_mse(model, problem.prior, n).mse
             split = mse_via_decomposition(model, problem.prior, n)
             worst = max(worst, abs(direct - split))
             assert abs(direct - split) <= 1e-10
@@ -161,8 +160,8 @@ def test_criterion_6_mse_decomposition_identity():
 def test_criterion_7_bias_decay_and_anchors():
     problem1, model = noon_model(NoonParams(10), (0.0, A_NOON), M, 1)
     problem20, _ = noon_model(NoonParams(10), (0.0, A_NOON), M, 20)
-    bias1 = mmse_mse(model, problem1.prior, 1, problem1.target).bias_curve
-    bias20 = mmse_mse(model, problem20.prior, 20, problem20.target).bias_curve
+    bias1 = mmse_mse(model, problem1.prior, 1).bias_curve
+    bias20 = mmse_mse(model, problem20.prior, 20).bias_curve
     assert np.max(np.abs(bias20.values)) < np.max(np.abs(bias1.values))
 
     b = solve_optimal_bias(problem1)
@@ -212,7 +211,7 @@ def test_criterion_9_grid_convergence():
 def test_criterion_10_stationarity_of_solved_bias():
     problem, _ = noon_model(NoonParams(10), (0.0, A_NOON), M, 1)
     b = solve_optimal_bias(problem)
-    base = bound_functional(problem, b, grid_derivative(b))
+    base = bound_functional(problem, b, b.derivative())
     x = problem.grid.nodes()
     a1, a2 = problem.grid.a1, problem.grid.a2
     freqs = np.arange(1, 6) * math.pi / (a2 - a1)
@@ -228,7 +227,7 @@ def test_criterion_10_stationarity_of_solved_bias():
         perturbed = bound_functional(
             problem,
             GridFunction(problem.grid, b.values + delta),
-            GridFunction(problem.grid, grid_derivative(b).values + dprime),
+            GridFunction(problem.grid, b.derivative().values + dprime),
         )
         worst = min(worst, perturbed - base)
         assert perturbed >= base - 1e-10

@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad, solve_bvp
 
 from qbounds.bounds import (
     _SERIES_Z,
-    BoundMethod,
     bayesian_qcrb,
     bias_ode_residual,
     bound_functional,
-    grid_derivative,
     obb_closed_form,
     obb_variational,
     optimal_bias_closed_form,
@@ -19,12 +18,14 @@ from qbounds.core import (
     EstimationProblem,
     GridFunction,
     ParameterGrid,
+    PriorDensity,
     QfiProfile,
     TargetFunction,
     make_uniform_prior,
 )
 from qbounds.errors import DomainError, GridMismatch
 from qbounds.models import FieldParams, NoonParams, field_model, noon_model
+from qbounds.numerics import composite_simpson
 
 A_NOON = math.pi / 10.0
 
@@ -133,7 +134,6 @@ class TestClosedFormBound:
         expected = 0.01 - (2.0 / (100.0 * math.pi)) * math.tanh(math.pi / 2.0)
         assert rep.value == pytest.approx(expected, rel=1e-14)
         assert rep.value == pytest.approx(0.0041612, abs=5e-8)
-        assert rep.method is BoundMethod.OBB_CLOSED_FORM
         assert rep.bias is not None
 
     def test_small_information_limit_is_prior_variance(self):
@@ -278,7 +278,7 @@ class TestObbVariational:
         p = constant_problem(j=100.0, a=A_NOON, m=2001)
         rep = obb_variational(p)
         b = rep.bias
-        base = bound_functional(p, b, grid_derivative(b))
+        base = bound_functional(p, b, b.derivative())
         x = p.grid.nodes()
         a1, a2 = p.grid.a1, p.grid.a2
         rng = np.random.default_rng(20240917)
@@ -293,6 +293,64 @@ class TestObbVariational:
             perturbed = bound_functional(
                 p,
                 GridFunction(p.grid, b.values + delta),
-                GridFunction(p.grid, grid_derivative(b).values + dprime),
+                GridFunction(p.grid, b.derivative().values + dprime),
             )
             assert perturbed >= base - 1e-10
+
+
+def bump(x):
+    return np.exp(-((x - 0.4) ** 2) / 0.1)
+
+
+def linear(x):
+    return (1.0 + x) / 1.5
+
+
+def unit_interval_problem(density, m, j=25.0):
+    """Identity target and constant QFI under a prior normalized by Simpson."""
+    grid = ParameterGrid(0.0, 1.0, m)
+    v = density(grid.nodes())
+    prior = PriorDensity(GridFunction(grid, v / composite_simpson(v, grid.h)))
+    return EstimationProblem(
+        prior, TargetFunction.identity(grid), QfiProfile.constant(grid, j)
+    )
+
+
+def obb_by_collocation(density, j):
+    """OBB for f(x) = x on (0, 1) from scipy's collocation BVP solver.
+
+    With q = p (1 + b') / J the Euler-Lagrange equation (p(1+b')/J)' = p b
+    and the conditions b'(0) = b'(1) = -1 read b' = q J / p - 1, q' = p b,
+    q(0) = q(1) = 0; the functional is then \\int (q^2 J / p + p b^2) dx.
+    """
+    norm = quad(density, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+
+    def p(x):
+        return density(x) / norm
+
+    sol = solve_bvp(
+        lambda x, y: np.vstack([y[1] * j / p(x) - 1.0, p(x) * y[0]]),
+        lambda ya, yb: np.array([ya[1], yb[1]]),
+        np.linspace(0.0, 1.0, 101), np.zeros((2, 101)), tol=1e-10, max_nodes=100_000,
+    )
+    assert sol.success, sol.message
+
+    def integrand(x):
+        b, q = sol.sol(x)
+        return q * q * j / p(x) + p(x) * b * b
+
+    return quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+class TestNonUniformPrior:
+    def test_prior_log_slope_of_gaussian_bump(self):
+        p = unit_interval_problem(bump, 2001)
+        x = p.grid.nodes()
+        np.testing.assert_allclose(
+            p.prior_log_slope(), -2.0 * (x - 0.4) / 0.1, rtol=0.0, atol=1e-8
+        )
+
+    @pytest.mark.parametrize("density", [linear, bump], ids=["linear", "bump"])
+    def test_obb_matches_collocation(self, density):
+        value = obb_variational(unit_interval_problem(density, 4001)).value
+        assert value == pytest.approx(obb_by_collocation(density, 25.0), rel=1e-9)

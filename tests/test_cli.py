@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -232,6 +235,49 @@ class TestFailureExitCodes:
         assert code == 4
         assert csv_text is None
         assert "mmse is nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bounds", "bias"])
+    def test_grid_below_derivative_stencil(self, tmp_path, capsys, command):
+        # odd and Simpson-compatible, but the five-point derivative needs 5 nodes
+        code, csv_text, _ = run(
+            tmp_path, command, "--example", "noon", "--n", "1", "--grid", "3"
+        )
+        assert code == 2
+        assert csv_text is None
+        assert "m >= 5" in capsys.readouterr().err
+
+    def test_mmse_takes_no_derivative_at_grid_3(self, tmp_path):
+        code, csv_text, _ = run(
+            tmp_path, "mmse", "--example", "noon", "--n", "1", "--grid", "3"
+        )
+        assert code == 0
+        assert len(rows_of(csv_text)[1]) == 2
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="needs RLIMIT_AS")
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--example", "noon", "--n", "200000"),
+        ("mmse", "--example", "dephasing", "--n", "200000"),
+    ], ids=["bounds", "mmse"])
+    def test_out_of_memory(self, argv):
+        # the (n+1) x m likelihood table needs 6 GB; the limit stops it at 3 GB
+        import resource
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3_000_000_000, 3_000_000_000))
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbounds.cli", *argv], env=env,
+            preexec_fn=limit_address_space, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
 
 
 class TestParameterChecks:

@@ -73,7 +73,6 @@ class TestTargetFunction:
         np.testing.assert_array_equal(t.f.values, grid.nodes())
         np.testing.assert_array_equal(t.f_prime.values, 1.0)
         np.testing.assert_array_equal(t.f_double_prime.values, 0.0)
-        assert t.is_identity()
 
     def test_finite_difference_fallback(self):
         grid = ParameterGrid(0.0, 1.0, 2001)
@@ -85,6 +84,11 @@ class TestTargetFunction:
         # the endpoint rows stack two one-sided stencils, hence the looser tol
         np.testing.assert_allclose(t.f_double_prime.values[1:-1], 6 * x[1:-1], atol=1e-3)
         np.testing.assert_allclose(t.f_double_prime.values, 6 * x, atol=5e-3)
+
+    def test_derivative_needs_five_nodes(self):
+        grid = ParameterGrid(0.0, 1.0, 3)
+        with pytest.raises(InvalidGrid):
+            GridFunction(grid, grid.nodes()).derivative()
 
     def test_mixed_grids_rejected(self):
         g1, g2 = ParameterGrid(0.0, 1.0, 11), ParameterGrid(0.0, 1.0, 13)

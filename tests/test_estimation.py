@@ -5,15 +5,13 @@ import pytest
 from scipy.special import gammaln, logsumexp, xlogy
 
 from qbounds.bounds import obb_variational
-from qbounds.core import GridFunction, ParameterGrid, TargetFunction, make_uniform_prior
-from qbounds.errors import DomainError, ZeroEvidence
+from qbounds.core import GridFunction, ParameterGrid, make_uniform_prior
 from qbounds.estimation import (
     BinaryMeasurementModel,
     mmse_estimates,
     mmse_mse,
     likelihood_table,
     mse_via_decomposition,
-    posterior,
 )
 from qbounds.models import (
     DephasingParams,
@@ -23,7 +21,6 @@ from qbounds.models import (
     field_model,
     noon_model,
 )
-from qbounds.numerics import composite_simpson
 
 A_NOON = math.pi / 10.0
 
@@ -58,42 +55,6 @@ class TestOutcomePmf:
         table = likelihood_table(model, 25)
         for idx in (0, 123, 800):
             assert table[:, idx].sum() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestPosterior:
-    def test_no_data_returns_prior(self):
-        problem, model = noon(m=801)
-        post = posterior(model, problem.prior, 0, 0)
-        np.testing.assert_allclose(
-            post.values, problem.prior.samples.values, rtol=1e-13
-        )
-
-    def test_noon_k1_shape_and_normalizer(self):
-        problem, model = noon()
-        post = posterior(model, problem.prior, 1, 1)
-        x = problem.grid.nodes()
-        # posterior is proportional to sin^2(5x); the normalizer over (0, a)
-        # is (a - sin(10a)/10)/2 / a for the uniform prior
-        a = A_NOON
-        norm = (a - math.sin(10 * a) / 10.0) / 2.0 / a
-        expected = (np.sin(5 * x) ** 2 / a) / norm
-        np.testing.assert_allclose(post.values, expected, atol=1e-10)
-        assert composite_simpson(post.values, post.grid.h) == pytest.approx(1.0, abs=1e-10)
-
-    def test_all_posteriors_normalized(self):
-        problem, model = field_model(
-            FieldParams(math.pi / 2), (0.0, math.pi / 2), 2001, 8
-        )
-        for k in range(9):
-            post = posterior(model, problem.prior, 8, k)
-            assert composite_simpson(post.values, post.grid.h) == pytest.approx(1.0, abs=1e-10)
-
-    def test_zero_evidence(self):
-        grid = ParameterGrid(0.0, 1.0, 101)
-        model = BinaryMeasurementModel(GridFunction(grid, np.zeros(101)))
-        prior = make_uniform_prior(0.0, 1.0, 101)
-        with pytest.raises(ZeroEvidence):
-            posterior(model, prior, 1, 1)
 
 
 class TestMmseEstimates:
@@ -158,13 +119,13 @@ class TestLogSpaceBayes:
 class TestMmseMse:
     def test_no_data_risk_is_prior_variance(self):
         problem, model = noon(m=2001)
-        rep = mmse_mse(model, problem.prior, 0, problem.target)
+        rep = mmse_mse(model, problem.prior, 0)
         assert rep.mse == pytest.approx(A_NOON**2 / 12.0, abs=1e-10)
         assert rep.mse == pytest.approx(0.0082247, abs=5e-8)
 
     def test_noon_n1_beats_both_references(self):
         problem, model = noon()
-        rep = mmse_mse(model, problem.prior, 1, problem.target)
+        rep = mmse_mse(model, problem.prior, 1)
         # frozen from the quadrature oracle
         assert rep.mse == pytest.approx(0.004171822988547622, abs=1e-10)
         assert rep.mse < A_NOON**2 / 12.0  # conditioning helps
@@ -177,20 +138,9 @@ class TestMmseMse:
             dephasing_model(DephasingParams.from_eta(0.8), (0.0, math.pi), 2001, n),
             field_model(FieldParams(math.pi / 2), (0.0, math.pi / 2), 2001, n),
         ):
-            direct = mmse_mse(model, problem.prior, n, problem.target).mse
+            direct = mmse_mse(model, problem.prior, n).mse
             split = mse_via_decomposition(model, problem.prior, n)
             assert direct == pytest.approx(split, abs=1e-10)
-
-    def test_non_identity_target_rejected(self):
-        problem, model = noon(m=401)
-        grid = problem.grid
-        quad_target = TargetFunction(
-            GridFunction(grid, grid.nodes() ** 2),
-            GridFunction(grid, 2 * grid.nodes()),
-            GridFunction(grid, np.full(grid.m, 2.0)),
-        )
-        with pytest.raises(DomainError):
-            mmse_mse(model, problem.prior, 1, quad_target)
 
     def test_risk_monotone_in_measurements(self):
         for problem, model in (
@@ -199,7 +149,7 @@ class TestMmseMse:
             field_model(FieldParams(math.pi / 2), (0.0, math.pi / 2), 2001, 1),
         ):
             risks = [
-                mmse_mse(model, problem.prior, n, problem.target).mse
+                mmse_mse(model, problem.prior, n).mse
                 for n in range(31)
             ]
             for worse, better in zip(risks, risks[1:]):
@@ -208,21 +158,21 @@ class TestMmseMse:
     def test_obb_lower_bounds_risk(self):
         for n in (1, 3, 10, 30):
             problem, model = noon(n, m=2001)
-            mse = mmse_mse(model, problem.prior, n, problem.target).mse
+            mse = mmse_mse(model, problem.prior, n).mse
             assert obb_variational(problem).value <= mse + 1e-10
 
     def test_bias_decays_with_measurements(self):
         problem1, model = noon(1, m=2001)
         problem20, _ = noon(20, m=2001)
-        b1 = mmse_mse(model, problem1.prior, 1, problem1.target).bias_curve
-        b20 = mmse_mse(model, problem20.prior, 20, problem20.target).bias_curve
+        b1 = mmse_mse(model, problem1.prior, 1).bias_curve
+        b20 = mmse_mse(model, problem20.prior, 20).bias_curve
         assert np.max(np.abs(b20.values)) < np.max(np.abs(b1.values))
 
     def test_zero_evidence_outcomes_flagged(self):
         grid = ParameterGrid(0.0, 1.0, 201)
         model = BinaryMeasurementModel(GridFunction(grid, np.zeros(201)))
         prior = make_uniform_prior(0.0, 1.0, 201)
-        rep = mmse_mse(model, prior, 2, TargetFunction.identity(grid))
+        rep = mmse_mse(model, prior, 2)
         np.testing.assert_array_equal(rep.zero_evidence, [False, True, True])
         np.testing.assert_allclose(rep.estimates[1:], 0.5)  # prior-mean placeholder
         assert rep.mse == pytest.approx(1.0 / 12.0, abs=1e-12)
