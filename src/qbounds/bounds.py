@@ -4,15 +4,22 @@ The OBB is the minimum over bias functions b(x) of
 
     F[b] = \\int p(x) { [f'(x) + b'(x)]^2 / J(x) + b(x)^2 } dx,
 
-with J the effective (n-fold) quantum Fisher information. The minimizer
-solves a linear two-point boundary-value problem
+with J the effective (n-fold) quantum Fisher information. The minimizer is
+solved in flux form: the flux sigma = (p/J)(f' + b') obeys sigma' = p b and
+vanishes at both ends (the natural condition b' = -f'). With sigma at the
+m - 1 cell midpoints, eliminating b leaves the symmetric tridiagonal system
 
-    b'' + c(x) b' - J(x) b = -f'' - c(x) f',   c = (ln(p/J))',
+    S sigma = Delta f,   S = diag(h q) + G W^-1 G^T,
 
-with Neumann conditions b'(a1) = -f'(a1), b'(a2) = -f'(a2). For a uniform
-prior, constant J and f(x) = x the solution and the bound are closed-form
-hyperbolics; the variational route must reproduce them, which is the main
-cross-check in the test suite.
+where q is the midpoint mean of J/p, G the forward difference and W the
+diagonal of cell width (h, or h/2 at the two end nodes) times p. S is
+strictly diagonally dominant by h q, so it stays well conditioned as
+J -> 0, and it needs no derivative of p, J or f. solve_optimal_bias
+rescales it and splits off its diagonal so that the bias is read off
+without cancellation at either end of the information range. For a
+uniform prior, constant J and f(x) = x the solution and the bound are
+closed-form hyperbolics; the variational route must reproduce them, which
+is the main cross-check in the test suite.
 """
 from __future__ import annotations
 
@@ -37,8 +44,8 @@ __all__ = [
     "obb_variational",
 ]
 
-# Residual above this fraction of the ODE scale max|f'| * max J triggers a
-# warning (never an error: Eq-style biased bounds stay valid for any b).
+# Residual above this fraction of max|f'| triggers a warning (never an
+# error: Eq-style biased bounds stay valid for any b).
 RESIDUAL_WARN_TOL = 1e-6
 
 # Below z = _SERIES_Z the direct 1 - tanh(z)/z loses more than 5e-14 relative
@@ -51,7 +58,6 @@ _DEFICIT_SERIES = (1 / 3, -2 / 15, 17 / 315, -62 / 2835, 1382 / 155925, -21844 /
 @dataclass(frozen=True)
 class SolverDiagnostics:
     ode_residual_max: float | None
-    grid_m: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +97,7 @@ def bayesian_qcrb(p: EstimationProblem) -> BoundReport:
         p.prior.samples.values * p.target.f_prime.values**2 / p.qfi.effective()
     )
     value = float(composite_simpson(integrand, p.grid.h))
-    return BoundReport(value, None, SolverDiagnostics(None, p.grid.m))
+    return BoundReport(value, None, SolverDiagnostics(None))
 
 
 def optimal_bias_closed_form(j: float, a: float, grid: ParameterGrid) -> GridFunction:
@@ -135,63 +141,83 @@ def obb_closed_form(
         deficit = 1.0 - np.tanh(z) / z
     value = deficit / j_effective
     bias = optimal_bias_closed_form(j_effective, a, grid)
-    return BoundReport(float(value), bias, SolverDiagnostics(None, grid.m))
+    return BoundReport(float(value), bias, SolverDiagnostics(None))
 
 
-def _ode_coefficients(p: EstimationProblem):
-    """(c, J_eff, forcing) of the canonical form b'' + c b' - J b = forcing.
+def _cell_weights(p: EstimationProblem) -> tuple[np.ndarray, np.ndarray]:
+    """(w p, q): cell width times p at the nodes, and q at the midpoints.
 
-    c = (ln(p/J))' = p'/p - J'/J; the repetition count cancels from c and
-    enters only through J -> nJ.
+    The cell width w is h, or h/2 at the two end nodes; q is the mean of
+    the two nodal values of J/p.
     """
-    j = p.qfi.j_base.values
-    c = p.prior_log_slope() - p.qfi.j_prime.values / j
-    j_eff = p.qfi.effective()
-    forcing = -p.target.f_double_prime.values - c * p.target.f_prime.values
-    return c, j_eff, forcing
+    density = p.prior.samples.values
+    mass = p.grid.h * density
+    mass[[0, -1]] /= 2.0
+    ratio = p.qfi.effective() / density
+    return mass, 0.5 * (ratio[:-1] + ratio[1:])
+
+
+@dataclass(frozen=True, eq=False)
+class _SolvedBias(GridFunction):
+    """A solved bias that carries its derivative, taken from the flux."""
+
+    slope: GridFunction
+
+    def derivative(self) -> GridFunction:
+        return self.slope
 
 
 def solve_optimal_bias(p: EstimationProblem) -> GridFunction:
-    """Solve the optimal-bias BVP on the problem grid.
+    """Solve the optimal-bias problem on the problem grid in flux form.
 
-    Second-order central differences; the Neumann data b'(a1) = -f'(a1),
-    b'(a2) = -f'(a2) is folded into the first and last rows through ghost
-    nodes, so the system stays tridiagonal and strictly diagonally dominant
-    (diagonal -2/h^2 - J with J > 0).
+    S sigma = Delta f (see the module docstring) is solved for y = r sigma
+    with r = sqrt(h q), so the system reads (I + K) y = Delta f / r with
+    K = R^-1 G W^-1 G^T R^-1. y is split into the Jacobi guess
+    y0 = (Delta f / r) / (1 + diag K) and a correction t that solves
+    (I + K) t = -(K - diag K) y0. Then
+
+        Delta(f + b) = h q sigma = r (y0 + t),
+        Delta b = r (t - diag K y0),
+
+    and neither difference cancels: at small information Delta f is the
+    large part of Delta b, at large information both parts of Delta b are
+    small. b is Delta b summed from the left, shifted so that sum(w p b) = 0
+    (the discrete sigma' = p b summed over the whole support). Its
+    derivative() is the five-point derivative of the running sum of
+    Delta(f + b), minus f': at small information that sum is O(J) while b
+    is not, so it carries none of the rounding noise that differentiating b
+    picks up as J -> 0.
     """
     grid = p.grid
-    m, h = grid.m, grid.h
-    c, j_eff, forcing = _ode_coefficients(p)
-    fp = p.target.f_prime.values
-    g1, g2 = -fp[0], -fp[-1]
-
-    inv_h2 = 1.0 / (h * h) if h * h > 0.0 else np.inf
-    if np.isinf(inv_h2):
-        raise SingularSystem(f"grid spacing {h:.3g} is too fine: 1/h^2 overflows")
-    diag = -2.0 * inv_h2 - j_eff
-    sub = np.empty(m - 1)
-    sup = np.empty(m - 1)
-    sub[:-1] = inv_h2 - c[1:-1] / (2.0 * h)
-    sup[1:] = inv_h2 + c[1:-1] / (2.0 * h)
-    rhs = forcing.copy()
-
-    # Ghost-node elimination: b' at the boundary equals the Neumann datum,
-    # so the c b' term moves to the right-hand side (where it cancels the
-    # -c f' part of the forcing exactly).
-    sup[0] = 2.0 * inv_h2
-    rhs[0] = forcing[0] - c[0] * g1 + 2.0 * g1 / h
-    sub[-1] = 2.0 * inv_h2
-    rhs[-1] = forcing[-1] - c[-1] * g2 - 2.0 * g2 / h
-
-    b = solve_tridiagonal(sub, diag, sup, rhs)
-    bias = GridFunction(grid, b)
+    h = grid.h
+    # A spacing whose square underflows leaves a bound below the smallest
+    # normal double; report it rather than print a value rounded to zero.
+    if not h * h > 0.0:
+        raise SingularSystem(f"grid spacing {h:.3g} is too fine: h^2 underflows")
+    mass, q = _cell_weights(p)
+    # h q itself overflows on very wide supports; its square root does not
+    r = np.sqrt(h) * np.sqrt(q)
+    inv = 1.0 / mass
+    off = -(inv[1:-1] / r[:-1]) / r[1:]
+    k = (inv[:-1] / r + inv[1:] / r) / r
+    df = np.diff(p.target.f.values)
+    y0 = df / r / (1.0 + k)
+    rhs = np.zeros_like(y0)
+    rhs[:-1] -= off * y0[1:]
+    rhs[1:] -= off * y0[:-1]
+    t = solve_tridiagonal(1.0 + k, off, rhs)
+    b = np.concatenate(([0.0], np.cumsum(r * (t - k * y0))))
+    b -= (mass @ b) / mass.sum()
+    running = GridFunction(grid, np.concatenate(([0.0], np.cumsum(r * (y0 + t)))))
+    slope = GridFunction(grid, running.derivative().values - p.target.f_prime.values)
+    bias = _SolvedBias(grid, b, slope)
 
     residual = bias_ode_residual(p, bias)
-    scale = float(np.max(np.abs(fp)) * np.max(j_eff))
+    scale = float(np.max(np.abs(p.target.f_prime.values)))
     if scale > 0.0 and residual > RESIDUAL_WARN_TOL * scale:
         warnings.warn(
-            f"optimal-bias ODE residual {residual:.3e} exceeds "
-            f"{RESIDUAL_WARN_TOL:.0e} of scale {scale:.3e}; the bound stays "
+            f"optimal-bias residual {residual:.3e} exceeds "
+            f"{RESIDUAL_WARN_TOL:.0e} of max|f'| {scale:.3e}; the bound stays "
             "valid but may be loose",
             RuntimeWarning,
             stacklevel=2,
@@ -200,29 +226,28 @@ def solve_optimal_bias(p: EstimationProblem) -> GridFunction:
 
 
 def bias_ode_residual(p: EstimationProblem, b: GridFunction) -> float:
-    """Max interior residual of the canonical ODE for a candidate bias.
+    """Max flux-form Euler-Lagrange residual of a candidate bias.
 
-    r = b'' + c b' - J b - forcing on the interior nodes, with the same
-    central stencil the solver assembles.
+    The flux sigma comes from sigma' = p b, summed from the left edge. The
+    residual, in units of f', is Delta(f + b)/h - q sigma at the m - 1
+    midpoints and q sigma at the right edge, where the flux must vanish.
     """
     if b.grid != p.grid:
         raise GridMismatch("bias must live on the problem grid")
-    h = p.grid.h
-    c, j_eff, forcing = _ode_coefficients(p)
-    v = b.values
-    b2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-    b1 = (v[2:] - v[:-2]) / (2.0 * h)
-    r = b2 + c[1:-1] * b1 - j_eff[1:-1] * v[1:-1] - forcing[1:-1]
+    mass, q = _cell_weights(p)
+    flux = np.cumsum(mass * b.values)
+    slope = (np.diff(p.target.f.values) + np.diff(b.values)) / p.grid.h
+    r = np.append(slope - q * flux[:-1], q[-1] * flux[-1])
     return float(np.max(np.abs(r)))
 
 
 def obb_variational(p: EstimationProblem) -> BoundReport:
-    """Optimal biased bound via the solved BVP bias.
+    """Optimal biased bound via the solved bias.
 
-    Evaluates F[b] at the solved bias, with b' from the grid's fourth-order
-    five-point stencil.
+    Evaluates F[b] with Simpson's rule at the solved bias and its
+    derivative().
     """
     bias = solve_optimal_bias(p)
     value = bound_functional(p, bias, bias.derivative())
     residual = bias_ode_residual(p, bias)
-    return BoundReport(value, bias, SolverDiagnostics(residual, p.grid.m))
+    return BoundReport(value, bias, SolverDiagnostics(residual))

@@ -31,8 +31,8 @@ __all__ = [
     "make_uniform_prior",
 ]
 
-# One grid serves both Simpson quadrature and the second-order BVP; 4001
-# odd nodes keep both errors well under the acceptance tolerances.
+# One grid serves both Simpson quadrature and the flux-form bias solve;
+# 4001 odd nodes keep both errors well under the acceptance tolerances.
 DEFAULT_GRID_M = 4001
 
 _PRIOR_NORM_TOL = 1e-10
@@ -78,10 +78,6 @@ class GridFunction:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _as_readonly(self.values, self.grid.m))
 
-    @classmethod
-    def from_callable(cls, grid: ParameterGrid, fn) -> "GridFunction":
-        return cls(grid, fn(grid.nodes()))
-
     def derivative(self) -> "GridFunction":
         """Fourth-order finite-difference derivative; needs at least 5 nodes.
 
@@ -102,14 +98,6 @@ class GridFunction:
         d[-2] = (3 * v[-1] + 10 * v[-2] - 18 * v[-3] + 6 * v[-4] - v[-5]) / (12.0 * h)
         d[-1] = (25 * v[-1] - 48 * v[-2] + 36 * v[-3] - 16 * v[-4] + 3 * v[-5]) / (12.0 * h)
         return GridFunction(self.grid, d)
-
-
-def _same_grid(*fns: GridFunction) -> ParameterGrid:
-    grid = fns[0].grid
-    for f in fns[1:]:
-        if f.grid != grid:
-            raise GridMismatch(f"grids differ: {f.grid} vs {grid}")
-    return grid
 
 
 @dataclass(frozen=True)
@@ -133,29 +121,24 @@ class PriorDensity:
 
 @dataclass(frozen=True)
 class TargetFunction:
-    """Target f(x) with analytic first and second derivatives."""
+    """Target f(x) with its analytic first derivative."""
 
     f: GridFunction
     f_prime: GridFunction
-    f_double_prime: GridFunction
 
     def __post_init__(self) -> None:
-        _same_grid(self.f, self.f_prime, self.f_double_prime)
+        if self.f_prime.grid != self.f.grid:
+            raise GridMismatch(f"grids differ: {self.f_prime.grid} vs {self.f.grid}")
 
     @classmethod
     def identity(cls, grid: ParameterGrid) -> "TargetFunction":
-        """f(x) = x with exact derivatives."""
-        return cls(
-            GridFunction(grid, grid.nodes()),
-            GridFunction(grid, np.ones(grid.m)),
-            GridFunction(grid, np.zeros(grid.m)),
-        )
+        """f(x) = x with its exact derivative."""
+        return cls(GridFunction(grid, grid.nodes()), GridFunction(grid, np.ones(grid.m)))
 
     @classmethod
     def from_samples(cls, f: GridFunction) -> "TargetFunction":
-        """Finite-difference derivatives for user-supplied targets."""
-        fp = f.derivative()
-        return cls(f, fp, fp.derivative())
+        """Finite-difference derivative for user-supplied targets."""
+        return cls(f, f.derivative())
 
     @property
     def grid(self) -> ParameterGrid:
@@ -164,17 +147,15 @@ class TargetFunction:
 
 @dataclass(frozen=True)
 class QfiProfile:
-    """Single-shot QFI J(x) with its derivative and a repetition count.
+    """Single-shot QFI J(x) with a repetition count.
 
     The effective information for n repeated measurements is n * J(x).
     """
 
     j_base: GridFunction
-    j_prime: GridFunction
     repetitions: int = 1
 
     def __post_init__(self) -> None:
-        _same_grid(self.j_base, self.j_prime)
         if self.repetitions < 1:
             raise NonPositiveQfi(f"repetitions must be >= 1, got {self.repetitions}")
         if self.j_base.values.min() <= 0.0:
@@ -184,11 +165,7 @@ class QfiProfile:
     def constant(cls, grid: ParameterGrid, j: float, repetitions: int = 1) -> "QfiProfile":
         if j <= 0.0:
             raise NonPositiveQfi(f"constant QFI must be positive, got {j}")
-        return cls(
-            GridFunction(grid, np.full(grid.m, float(j))),
-            GridFunction(grid, np.zeros(grid.m)),
-            repetitions,
-        )
+        return cls(GridFunction(grid, np.full(grid.m, float(j))), repetitions)
 
     @property
     def grid(self) -> ParameterGrid:
@@ -215,17 +192,6 @@ class EstimationProblem:
     @property
     def grid(self) -> ParameterGrid:
         return self.prior.grid
-
-    def prior_log_slope(self) -> np.ndarray:
-        """p'(x)/p(x): zero for a uniform prior, else by finite differences.
-
-        Interior nodes only carry the ODE, so the boundary kink of the
-        uniform prior never enters.
-        """
-        p = self.prior.samples.values
-        if np.ptp(p) == 0.0:
-            return np.zeros(self.grid.m)
-        return self.prior.samples.derivative().values / p
 
 
 def make_uniform_prior(a1: float, a2: float, m: int) -> PriorDensity:

@@ -193,17 +193,15 @@ def field_model(
 ) -> tuple[EstimationProblem, BinaryMeasurementModel]:
     """Qubit in an XZ-plane field: x-dependent QFI.
 
-    J(x) = 4 s^2 (1 - c^2 sin^2 x) with s = sin(B/2), c = cos(B/2); its
-    analytic derivative J'(x) = -4 s^2 c^2 sin(2x) feeds the BVP
-    coefficients. p1(x) = s^2 sin^2 x.
+    J(x) = 4 s^2 (1 - c^2 sin^2 x) with s = sin(B/2), c = cos(B/2);
+    p1(x) = s^2 sin^2 x.
     """
     grid = ParameterGrid(prior_support[0], prior_support[1], m)
     x = grid.nodes()
     s2 = math.sin(params.B / 2.0) ** 2
     c2 = math.cos(params.B / 2.0) ** 2
     j = 4.0 * s2 * (1.0 - c2 * np.sin(x) ** 2)
-    j_prime = -4.0 * s2 * c2 * np.sin(2.0 * x)
-    qfi = QfiProfile(GridFunction(grid, j), GridFunction(grid, j_prime), n)
+    qfi = QfiProfile(GridFunction(grid, j), n)
     problem = _uniform_problem(prior_support, m, qfi)
     p1 = s2 * np.sin(x) ** 2
     model = BinaryMeasurementModel(GridFunction(grid, p1))

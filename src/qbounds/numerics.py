@@ -1,14 +1,14 @@
 """Low-level numerical kernels.
 
-Composite Simpson quadrature, a LAPACK LU factorization (gttrf/gttrs) of
-tridiagonal systems with a check on its pivots, and log-domain binomial
+Composite Simpson quadrature, a LAPACK LDL^T factorization (pttrf/pttrs)
+of symmetric positive definite tridiagonal systems, and log-domain binomial
 probabilities. Everything here works on plain arrays; grid-aware wrappers
 live where the grid types do.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import gammaln, xlogy
 
 from .errors import DomainError, InvalidGrid, SingularSystem
@@ -42,28 +42,18 @@ def composite_simpson(values: np.ndarray, h: float) -> float:
     return y @ simpson_weights(y.shape[-1], h)
 
 
-# Pivot magnitude below this fraction of the row scale aborts the solve.
-_PIVOT_TOL = 1e-14
+def solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric positive definite tridiagonal system A u = rhs.
 
-
-def solve_tridiagonal(
-    sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """Solve the tridiagonal system A u = rhs with LAPACK gttrf/gttrs.
-
-    sub is the subdiagonal (length m-1), diag the main diagonal (length m),
-    sup the superdiagonal (length m-1). The LU factorization uses partial
-    pivoting; a diagonal entry of U at most _PIVOT_TOL of its row scale
-    raises SingularSystem instead of returning an unbounded solution.
+    diag is the main diagonal (length m), off the sub- and superdiagonal
+    (length m-1). LAPACK dpttrf factors A = L D L^T without pivoting and
+    dpttrs solves; a matrix that is not positive definite raises
+    SingularSystem instead of returning an unbounded solution.
     """
-    dl, d, du, du2, ipiv, _ = dgttrf(sub, diag, sup)
-    row_scale = np.abs(np.asarray(diag, dtype=float))
-    row_scale[:-1] += np.abs(sup)
-    row_scale[1:] += np.abs(sub)
-    vanishing = np.flatnonzero(np.abs(d) <= _PIVOT_TOL * np.maximum(row_scale, 1.0))
-    if vanishing.size:
-        raise SingularSystem(f"vanishing pivot in row {vanishing[0]}")
-    u, _ = dgttrs(dl, d, du, du2, ipiv, rhs)
+    d, e, info = dpttrf(diag, off)
+    if info != 0:
+        raise SingularSystem(f"matrix is not positive definite at row {info - 1}")
+    u, _ = dpttrs(d, e, rhs)
     return u
 
 

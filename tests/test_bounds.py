@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_bvp
 
 from qbounds.bounds import (
@@ -24,6 +26,7 @@ from qbounds.core import (
     make_uniform_prior,
 )
 from qbounds.errors import DomainError, GridMismatch
+from qbounds.estimation import mmse_mse
 from qbounds.models import FieldParams, NoonParams, field_model, noon_model
 from qbounds.numerics import composite_simpson
 
@@ -186,9 +189,7 @@ class TestSolveOptimalBias:
         prior = make_uniform_prior(0.0, 1.0, 801)
         grid = prior.grid
         target = TargetFunction(
-            GridFunction(grid, np.full(grid.m, 2.5)),
-            GridFunction(grid, np.zeros(grid.m)),
-            GridFunction(grid, np.zeros(grid.m)),
+            GridFunction(grid, np.full(grid.m, 2.5)), GridFunction(grid, np.zeros(grid.m))
         )
         p = EstimationProblem(prior, target, QfiProfile.constant(grid, 4.0))
         b = solve_optimal_bias(p)
@@ -224,7 +225,7 @@ class TestSolveOptimalBias:
     def test_canonical_residual_small(self):
         p = constant_problem(j=100.0, a=A_NOON, m=4001)
         b = solve_optimal_bias(p)
-        assert bias_ode_residual(p, b) <= 1e-6 * 100.0  # max|f'| * max J
+        assert bias_ode_residual(p, b) <= 1e-6  # of max|f'| = 1
 
 
 class TestObbVariational:
@@ -235,7 +236,6 @@ class TestObbVariational:
         exact = obb_closed_form(j, A_NOON).value
         assert rep.value == pytest.approx(exact, rel=1e-6)
         assert rep.diagnostics.ode_residual_max is not None
-        assert rep.diagnostics.grid_m == 4001
 
     def test_never_above_qcrb(self):
         for build in (
@@ -316,41 +316,76 @@ def unit_interval_problem(density, m, j=25.0):
     )
 
 
-def obb_by_collocation(density, j):
-    """OBB for f(x) = x on (0, 1) from scipy's collocation BVP solver.
+def obb_by_collocation(density, j, a=1.0, tol=1e-10):
+    """OBB for f(x) = x on (0, a) from scipy's collocation BVP solver.
 
-    With q = p (1 + b') / J the Euler-Lagrange equation (p(1+b')/J)' = p b
-    and the conditions b'(0) = b'(1) = -1 read b' = q J / p - 1, q' = p b,
-    q(0) = q(1) = 0; the functional is then \\int (q^2 J / p + p b^2) dx.
+    j(x) is the effective QFI. With q = p (1 + b') / J the Euler-Lagrange
+    equation (p(1+b')/J)' = p b and the conditions b'(0) = b'(a) = -1 read
+    b' = q J / p - 1, q' = p b, q(0) = q(a) = 0; the functional is then
+    \\int (q^2 J / p + p b^2) dx.
     """
-    norm = quad(density, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+    norm = quad(density, 0.0, a, epsabs=0.0, epsrel=1e-13)[0]
 
     def p(x):
         return density(x) / norm
 
     sol = solve_bvp(
-        lambda x, y: np.vstack([y[1] * j / p(x) - 1.0, p(x) * y[0]]),
+        lambda x, y: np.vstack([y[1] * j(x) / p(x) - 1.0, p(x) * y[0]]),
         lambda ya, yb: np.array([ya[1], yb[1]]),
-        np.linspace(0.0, 1.0, 101), np.zeros((2, 101)), tol=1e-10, max_nodes=100_000,
+        np.linspace(0.0, a, 101), np.zeros((2, 101)), tol=tol, max_nodes=100_000,
     )
     assert sol.success, sol.message
 
     def integrand(x):
         b, q = sol.sol(x)
-        return q * q * j / p(x) + p(x) * b * b
+        return q * q * j(x) / p(x) + p(x) * b * b
 
-    return quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return quad(integrand, 0.0, a, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
 class TestNonUniformPrior:
-    def test_prior_log_slope_of_gaussian_bump(self):
-        p = unit_interval_problem(bump, 2001)
-        x = p.grid.nodes()
-        np.testing.assert_allclose(
-            p.prior_log_slope(), -2.0 * (x - 0.4) / 0.1, rtol=0.0, atol=1e-8
-        )
-
     @pytest.mark.parametrize("density", [linear, bump], ids=["linear", "bump"])
     def test_obb_matches_collocation(self, density):
         value = obb_variational(unit_interval_problem(density, 4001)).value
-        assert value == pytest.approx(obb_by_collocation(density, 25.0), rel=1e-9)
+        oracle = obb_by_collocation(density, lambda x: 25.0)
+        assert value == pytest.approx(oracle, rel=1e-9)
+
+
+class TestSmallInformation:
+    @pytest.mark.parametrize("b_field", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_field_matches_collocation(self, b_field):
+        # as B -> 0 the OBB tends to the prior variance (pi/2)^2/12 = 0.2056167583560
+        a = math.pi / 2
+        problem, _ = field_model(FieldParams(b_field), (0.0, a), 4001, 1)
+        s2, c2 = math.sin(b_field / 2) ** 2, math.cos(b_field / 2) ** 2
+        oracle = obb_by_collocation(
+            np.ones_like, lambda x: 4.0 * s2 * (1.0 - c2 * np.sin(x) ** 2), a, tol=1e-12
+        )
+        value = obb_variational(problem).value
+        assert value == pytest.approx(oracle, rel=0.0, abs=1e-11)
+        assert value <= a * a / 12.0
+
+
+class TestBoundOrdering:
+    @given(
+        particles=st.integers(1, 20),
+        n=st.integers(1, 30),
+        width=st.floats(0.05, math.pi / 2),
+        b_field=st.floats(-6.0, math.log10(3.0)).map(lambda e: 10.0**e),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_obb_below_qcrb_prior_variance_mmse_and_falls_with_n(
+        self, particles, n, width, b_field
+    ):
+        # criterion 3's tolerances: 1e-12 against the QCRB, 1e-10 against the MMSE
+        prior_variance = width * width / 12.0
+        for build in (
+            lambda k: noon_model(NoonParams(particles), (0.0, width), 4001, k),
+            lambda k: field_model(FieldParams(b_field), (0.0, width), 4001, k),
+        ):
+            problem, model = build(n)
+            obb = obb_variational(problem).value
+            assert obb <= bayesian_qcrb(problem).value + 1e-12
+            assert obb <= prior_variance + 1e-12
+            assert obb <= mmse_mse(model, problem.prior, n).mse + 1e-10
+            assert obb_variational(build(n + 1)[0]).value <= obb + 1e-12

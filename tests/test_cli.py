@@ -71,6 +71,18 @@ class TestBoundsSweep:
         _, rows = rows_of(csv_text)
         assert float(rows[0][1]) == pytest.approx(0.70711, abs=1e-4)
 
+    @pytest.mark.parametrize(
+        "field, oracle", [("B=1e-3", 0.2056167329891), ("B=1e-4", 0.2056167581024)]
+    )
+    def test_field_small_information(self, tmp_path, field, oracle):
+        # oracle: solve_bvp (tol 1e-12) + quad, as in test_bounds.TestSmallInformation
+        code, csv_text, _ = run(
+            tmp_path, "bounds", "--example", "field", "--n", "1", "--param", field
+        )
+        assert code == 0
+        _, rows = rows_of(csv_text)
+        assert float(rows[0][2]) == pytest.approx(oracle, rel=0.0, abs=1e-11)
+
     def test_interferometer_mmse_column_empty(self, tmp_path):
         code, csv_text, _ = run(
             tmp_path, "bounds", "--example", "interferometer", "--n", "2", *GRID
@@ -214,10 +226,11 @@ class TestFailureExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            # the Neumann operator is near-singular as n J -> 0
-            ("--example", "field", "--n", "1", "--param", "B=1e-4"),
-            # h^2 underflows to zero on this support
+            # h^2 underflows to zero on this support, and the bound, about
+            # 8e-322, would print as 0
             ("--example", "noon", "--n", "1", "--prior", "0:1e-160"),
+            # the same underflow with a non-constant QFI profile
+            ("--example", "field", "--n", "1", "--prior", "0:1e-160"),
         ],
     )
     def test_numerical_failure(self, tmp_path, capsys, argv):

@@ -72,7 +72,6 @@ class TestTargetFunction:
         t = TargetFunction.identity(grid)
         np.testing.assert_array_equal(t.f.values, grid.nodes())
         np.testing.assert_array_equal(t.f_prime.values, 1.0)
-        np.testing.assert_array_equal(t.f_double_prime.values, 0.0)
 
     def test_finite_difference_fallback(self):
         grid = ParameterGrid(0.0, 1.0, 2001)
@@ -81,9 +80,6 @@ class TestTargetFunction:
         )
         x = grid.nodes()
         np.testing.assert_allclose(t.f_prime.values, 3 * x**2, atol=1e-5)
-        # the endpoint rows stack two one-sided stencils, hence the looser tol
-        np.testing.assert_allclose(t.f_double_prime.values[1:-1], 6 * x[1:-1], atol=1e-3)
-        np.testing.assert_allclose(t.f_double_prime.values, 6 * x, atol=5e-3)
 
     def test_derivative_needs_five_nodes(self):
         grid = ParameterGrid(0.0, 1.0, 3)
@@ -93,11 +89,7 @@ class TestTargetFunction:
     def test_mixed_grids_rejected(self):
         g1, g2 = ParameterGrid(0.0, 1.0, 11), ParameterGrid(0.0, 1.0, 13)
         with pytest.raises(GridMismatch):
-            TargetFunction(
-                GridFunction(g1, g1.nodes()),
-                GridFunction(g2, np.ones(13)),
-                GridFunction(g1, np.zeros(11)),
-            )
+            TargetFunction(GridFunction(g1, g1.nodes()), GridFunction(g2, np.ones(13)))
 
 
 class TestValidateProblem:
@@ -106,7 +98,7 @@ class TestValidateProblem:
         j = np.ones(11)
         j[5] = 0.0
         with pytest.raises(NonPositiveQfi):
-            QfiProfile(GridFunction(grid, j), GridFunction(grid, np.zeros(11)), 1)
+            QfiProfile(GridFunction(grid, j), 1)
 
     def test_grid_mismatch(self):
         prior = make_uniform_prior(0.0, 1.0, 11)

@@ -22,7 +22,6 @@ class TestNoon:
     def test_constant_qfi(self):
         problem, _ = noon_model(NoonParams(10), (0.0, math.pi / 10), 401, 1)
         np.testing.assert_array_equal(problem.qfi.j_base.values, 100.0)
-        np.testing.assert_array_equal(problem.qfi.j_prime.values, 0.0)
 
     def test_measurement_probability_endpoint(self):
         _, model = noon_model(NoonParams(10), (0.0, math.pi / 10), 401, 1)
@@ -148,11 +147,6 @@ class TestField:
         np.testing.assert_allclose(
             problem.qfi.effective(), n * (2.0 - np.sin(x) ** 2), rtol=1e-13
         )
-
-    def test_analytic_qfi_derivative(self):
-        problem, _ = field_model(FieldParams(1.1), (0.0, math.pi / 2), 2001, 1)
-        fd = problem.qfi.j_base.derivative().values
-        np.testing.assert_allclose(problem.qfi.j_prime.values, fd, atol=1e-5)
 
     def test_qfi_strictly_positive(self):
         for B in (0.3, math.pi / 2, 2.8):
