@@ -16,7 +16,12 @@ import numpy as np
 
 from .core import GridFunction, ParameterGrid, PriorDensity
 from .errors import DomainError, GridMismatch
-from .numerics import composite_simpson, log_binomial_pmf_vector, simpson_weights
+from .numerics import (
+    binomial_band,
+    composite_simpson,
+    log_binomial_pmf_vector,
+    simpson_weights,
+)
 
 __all__ = [
     "BinaryMeasurementModel",
@@ -55,10 +60,42 @@ class MmseReport:
 
 
 def likelihood_table(m: BinaryMeasurementModel, n: int) -> np.ndarray:
-    """Binomial likelihood p(k|x) on the grid; shape (n+1, grid.m)."""
+    """Dense binomial likelihood p(k|x) on the grid; shape (n+1, grid.m)."""
     if n < 0:
         raise DomainError(f"repetition count must be >= 0, got {n}")
     return log_binomial_pmf_vector(n, m.p1.values)
+
+
+# Likelihood cells per block (512 KiB, so the kernel's passes over a block
+# stay in cache); a column whose band alone is longer gets its own block.
+_BLOCK_CELLS = 1 << 16
+
+
+def _likelihood_blocks(m: BinaryMeasurementModel, n: int):
+    """Yield (columns, k_lo, block) covering every nonzero likelihood cell.
+
+    Columns are walked in contiguous chunks; each block holds rows
+    k_lo..k_lo + len(block) - 1 of those columns, the union of their
+    binomial_band rows, with at most _BLOCK_CELLS cells unless a single
+    column's band is longer. Every cell outside the blocks is exactly 0.0 in
+    likelihood_table.
+    """
+    if n < 0:
+        raise DomainError(f"repetition count must be >= 0, got {n}")
+    p1 = m.p1.values
+    lo, hi = binomial_band(n, p1)
+    start = 0
+    while start < p1.size:
+        # every column has a row, so no more than _BLOCK_CELLS columns fit
+        stop = min(p1.size, start + _BLOCK_CELLS)
+        rows = (np.maximum.accumulate(hi[start:stop])
+                - np.minimum.accumulate(lo[start:stop]) + 1)
+        cells = rows * np.arange(1, rows.size + 1)
+        stop = start + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
+        cols = slice(start, stop)
+        k_lo, k_hi = int(lo[cols].min()), int(hi[cols].max())
+        yield cols, k_lo, log_binomial_pmf_vector(n, p1[cols], k_lo, k_hi)
+        start = stop
 
 
 def _check_shared_grid(m: BinaryMeasurementModel, prior: PriorDensity) -> None:
@@ -66,21 +103,31 @@ def _check_shared_grid(m: BinaryMeasurementModel, prior: PriorDensity) -> None:
         raise GridMismatch("measurement model and prior must share one grid")
 
 
-def _estimates_and_mask(m: BinaryMeasurementModel, prior: PriorDensity, n: int):
-    """(likelihood table, posterior mean per outcome count, zero-evidence mask).
+def _posterior_means(evidence, first_moment, prior_mean):
+    """(posterior mean per outcome count, zero-evidence mask); an outcome
+    with zero evidence gets the prior mean."""
+    zero = evidence <= 0.0
+    return np.where(zero, prior_mean, first_moment / np.where(zero, 1.0, evidence)), zero
 
-    Evidence and first moment are Simpson sums over x, taken as products of
-    the table with the prior-weighted Simpson weights.
+
+def _banded_posterior_means(m: BinaryMeasurementModel, prior: PriorDensity, n: int,
+                            keep: list | None = None):
+    """(posterior means, zero-evidence mask) summed over likelihood blocks.
+
+    Evidence and first moment are Simpson sums over x, taken block by block
+    as products with the prior-weighted Simpson weights. The O(n) sums are
+    allocated before any block; the blocks are appended to ``keep`` if given.
     """
     _check_shared_grid(m, prior)
     x = m.grid.nodes()
     wp = simpson_weights(m.grid.m, m.grid.h) * prior.samples.values
-    like = likelihood_table(m, n)                       # (n+1, m)
-    evidence = like @ wp
-    first_moment = like @ (wp * x)
-    zero = evidence <= 0.0
-    estimates = np.where(zero, wp @ x, first_moment / np.where(zero, 1.0, evidence))
-    return like, estimates, zero
+    weights = np.column_stack([wp, wp * x])
+    moments = np.zeros((n + 1, 2))                      # evidence, first moment
+    for cols, k_lo, block in _likelihood_blocks(m, n):
+        moments[k_lo:k_lo + len(block)] += block @ weights[cols]
+        if keep is not None:
+            keep.append((cols, k_lo, block))
+    return _posterior_means(moments[:, 0], moments[:, 1], wp @ x)
 
 
 def mmse_estimates(
@@ -91,7 +138,7 @@ def mmse_estimates(
     Zero-evidence outcomes (impossible under the model) are reported as the
     prior mean; they carry zero probability weight in any risk sum.
     """
-    return _estimates_and_mask(m, prior, n)[1]
+    return _banded_posterior_means(m, prior, n)[0]
 
 
 def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseReport:
@@ -99,16 +146,22 @@ def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseRepo
 
     mse = \\int p(x) sum_k (x_hat(k) - x)^2 p(k|x) dx, and
     bias_curve(x) = sum_k x_hat(k) p(k|x) - x. The estimator targets the
-    parameter itself (f(x) = x).
+    parameter itself (f(x) = x). Only the banded likelihood blocks are
+    formed, and kept for the second sweep: memory is O(n + kept cells),
+    never the (n+1) x m table.
     """
-    like, estimates, zero = _estimates_and_mask(m, prior, n)
+    blocks = []
+    estimates, zero = _banded_posterior_means(m, prior, n, keep=blocks)
     x, p = m.grid.nodes(), prior.samples.values
-
-    sq = (estimates[:, None] - x[None, :]) ** 2         # (n+1, m)
-    risk_density = p * np.einsum("km,km->m", like, sq)
-    mse = float(composite_simpson(risk_density, m.grid.h))
-
-    conditional_mean = estimates @ like                 # E[x_hat | x]
+    risk = np.empty(m.grid.m)
+    conditional_mean = np.empty(m.grid.m)               # E[x_hat | x]
+    for cols, k_lo, block in blocks:
+        est = estimates[k_lo:k_lo + len(block)]
+        sq = np.subtract.outer(est, x[cols])
+        sq *= sq
+        risk[cols] = np.einsum("km,km->m", block, sq)
+        conditional_mean[cols] = est @ block
+    mse = float(composite_simpson(p * risk, m.grid.h))
     bias_curve = GridFunction(m.grid, conditional_mean - x)
     return MmseReport(estimates, mse, bias_curve, zero)
 
@@ -118,11 +171,14 @@ def mse_via_decomposition(
 ) -> float:
     """Bayes risk via the variance-plus-squared-bias decomposition.
 
-    \\int p(x) [ Var(x_hat | x) + bias(x)^2 ] dx; independent route used to
-    cross-check mmse_mse.
+    \\int p(x) [ Var(x_hat | x) + bias(x)^2 ] dx over the dense likelihood
+    table; independent route used to cross-check mmse_mse.
     """
-    like, estimates, _ = _estimates_and_mask(m, prior, n)
+    _check_shared_grid(m, prior)
     x, p = m.grid.nodes(), prior.samples.values
+    wp = simpson_weights(m.grid.m, m.grid.h) * p
+    like = likelihood_table(m, n)                       # (n+1, m)
+    estimates, _ = _posterior_means(like @ wp, like @ (wp * x), wp @ x)
     conditional_mean = estimates @ like
     dev = (estimates[:, None] - conditional_mean[None, :]) ** 2
     var = np.einsum("km,km->m", like, dev)

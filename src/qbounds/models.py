@@ -17,10 +17,10 @@ Evolution time is fixed to 1 throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     EstimationProblem,
@@ -44,6 +44,9 @@ __all__ = [
     "interferometer_problem",
     "field_model",
 ]
+
+# Newton takes at most 5 steps for any finite n_b > 0; the cap only bounds the loop.
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -85,8 +88,8 @@ class InterferometerParams:
     alpha_sq: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n_a < 0.0 or self.n_b < 0.0:
-            raise DomainError("photon numbers must be nonnegative")
+        if not (0.0 <= self.n_a < math.inf and 0.0 <= self.n_b < math.inf):
+            raise DomainError("photon numbers must be finite and nonnegative")
         object.__setattr__(self, "alpha_sq", _solve_alpha_sq(self.n_b))
 
 
@@ -150,11 +153,24 @@ def _solve_alpha_sq(n_b: float) -> float:
 
     u tanh u is strictly increasing from 0 and u tanh u > u - 0.1 at
     u = n_b + 2 >= 2, so [0, n_b + 2] brackets the root for n_b >= 0.
+    Newton's method runs inside that bracket. u tanh u is convex only where
+    it is below 1, so a step that leaves the bracket bisects it instead.
     """
     if n_b == 0.0:
         return 0.0
-    return float(brentq(lambda u: u * math.tanh(u) - n_b, 0.0, n_b + 2.0,
-                        xtol=1e-12, rtol=8.881784197001252e-16))
+    lo, hi = 0.0, n_b + 2.0
+    u = max(math.sqrt(n_b), n_b)  # the root's leading order on each side of 1
+    for _ in range(_NEWTON_STEPS):
+        t = math.tanh(u)
+        f = u * t - n_b
+        lo, hi = (u, hi) if f < 0.0 else (lo, u)
+        step = f / (t + u * (1.0 - t * t))
+        if abs(step) <= 4.0 * sys.float_info.epsilon * u:
+            return u - step
+        u -= step
+        if not lo < u < hi:
+            u = 0.5 * (lo + hi)
+    return u
 
 
 def interferometer_qfi(params: InterferometerParams) -> float:

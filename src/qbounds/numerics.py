@@ -7,6 +7,8 @@ live where the grid types do.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import gammaln, xlogy
@@ -18,6 +20,7 @@ __all__ = [
     "composite_simpson",
     "solve_tridiagonal",
     "log_binomial_pmf_vector",
+    "binomial_band",
 ]
 
 
@@ -57,20 +60,87 @@ def solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.
     return u
 
 
-def log_binomial_pmf_vector(n: int, p1: np.ndarray) -> np.ndarray:
-    """Full binomial likelihood table over a vector of success probabilities.
+# A cell whose log-probability is below this rounds to 0.0: exp underflows
+# below log(2^-1075) = -745.13, and the margin covers the rounding of the
+# O(n log n) terms in both the kernel and the bound for n up to ~1e12.
+_LOG_UNDERFLOW = -745.2
 
-    Returns shape (n+1, len(p1)); row k is C(n,k) p1^k (1-p1)^(n-k), summed
-    in log space (log-gamma coefficients keep n ~ 10^3 finite) and
-    exponentiated in place. xlogy(0, 0) = 0 makes the degenerate p1 in
-    {0, 1} exact, and an impossible outcome's log is -inf, so its
-    probability is exactly 0.
+
+@functools.lru_cache(maxsize=1)
+def _log_binomial_coefficients(n: int) -> np.ndarray:
+    """log C(n, k) for k = 0..n, kept for the blocks of one table."""
+    k = np.arange(n + 1, dtype=float)
+    out = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    out.flags.writeable = False
+    return out
+
+
+def log_binomial_pmf_vector(
+    n: int, p1: np.ndarray, k_lo: int = 0, k_hi: int | None = None
+) -> np.ndarray:
+    """Rows k_lo..k_hi (default 0..n) of the binomial likelihood table.
+
+    Returns shape (k_hi - k_lo + 1, len(p1)); cell (k, x) is
+    C(n,k) p1^k (1-p1)^(n-k), computed as one exponential of
+    k log(q/(1-q)) + n log1p(-q) + log C(n,k) with q = min(p1, 1 - p1) and
+    k mirrored to n - k where p1 > 1/2 (1 - p1 is exact there, so the pair
+    (k, p) and (n - k, 1 - p) runs the same arithmetic). A q = 0 column has
+    exact 0/1 cells.
     """
     p1 = np.asarray(p1, dtype=float)
     if p1.min() < 0.0 or p1.max() > 1.0:
         raise DomainError("p1 samples must lie in [0, 1]")
-    k = np.arange(n + 1)[:, None]
-    out = xlogy(k, p1)
-    out += xlogy(n - k, 1.0 - p1)
-    out += gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    k = np.arange(k_lo, n + 1 if k_hi is None else k_hi + 1)
+    log_c = _log_binomial_coefficients(n)
+    mirror = p1 > 0.5
+    q = np.where(mirror, 1.0 - p1, p1)
+    with np.errstate(divide="ignore"):
+        log_odds = np.log(q / (1.0 - q))
+    # q = 0: a finite stand-in for log 0 keeps 0 * log_odds = 0 at k = 0
+    np.maximum(log_odds, -np.finfo(float).max, out=log_odds)
+    log_q0 = n * np.log1p(-q)
+    out = np.empty((k.size, p1.size))
+    # contiguous column runs that share one row vector kk = k or n - k
+    edges = [0, *(np.flatnonzero(np.diff(mirror)) + 1), p1.size]
+    with np.errstate(over="ignore"):
+        for a, b in zip(edges[:-1], edges[1:]):
+            kk = n - k if mirror[a] else k
+            block = out[:, a:b]
+            np.multiply.outer(kk, log_odds[a:b], out=block)
+            block += log_q0[a:b]
+            block += log_c[kk][:, None]
     return np.exp(out, out=out)
+
+
+def binomial_band(n: int, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the first and last k whose probability may be nonzero.
+
+    Outside [lo, hi] the method-of-types bound pmf(k) <= exp(-n KL(k/n||p1))
+    puts every cell below exp(_LOG_UNDERFLOW), so log_binomial_pmf_vector
+    returns exactly 0.0 there. The bound rises monotonically from k = 0 and
+    from k = n towards n p1; where it is above the floor at an end, that end
+    is kept, and elsewhere an integer bisection finds the edge.
+    """
+    p1 = np.asarray(p1, dtype=float)
+
+    def edge(mean, rest, at_zero):
+        # smallest k with k >= mean or log bound(k) > _LOG_UNDERFLOW, given
+        # the bound at k = 0
+        k = np.zeros(p1.shape, dtype=int)
+        cols = np.flatnonzero(at_zero <= _LOG_UNDERFLOW)
+        mean, rest = mean[cols], rest[cols]
+        bad, good = np.full(cols.size, -1), np.full(cols.size, n)
+        while np.any(good - bad > 1):
+            mid = (bad + good) // 2
+            j = mid.astype(float)
+            ok = (j >= mean) | (xlogy(j, mean) - xlogy(j, j) + xlogy(n - j, rest)
+                                - xlogy(n - j, n - j) > _LOG_UNDERFLOW)
+            good = np.where(ok, mid, good)
+            bad = np.where(ok, bad, mid)
+        k[cols] = good
+        return k
+
+    mean, rest = n * p1, n * (1.0 - p1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # n = 0: 0 * -inf is nan,
+        at_k0, at_kn = n * np.log1p(-p1), n * np.log(p1)  # and no column bisects
+    return edge(mean, rest, at_k0), n - edge(rest, mean, at_kn)

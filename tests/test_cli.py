@@ -266,14 +266,8 @@ class TestFailureExitCodes:
         assert code == 0
         assert len(rows_of(csv_text)[1]) == 2
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="needs RLIMIT_AS")
-    @pytest.mark.parametrize("argv", [
-        ("bounds", "--example", "noon", "--n", "200000"),
-        ("mmse", "--example", "dephasing", "--n", "200000"),
-    ], ids=["bounds", "mmse"])
-    def test_out_of_memory(self, argv):
-        # the (n+1) x m likelihood table needs 6 GB; the limit stops it at 3 GB
+    @staticmethod
+    def run_under_3gb(argv):
         import resource
 
         def limit_address_space():
@@ -282,11 +276,36 @@ class TestFailureExitCodes:
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "qbounds.cli", *argv], env=env,
             preexec_fn=limit_address_space, capture_output=True, text=True,
             timeout=120,
         )
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="needs RLIMIT_AS")
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--example", "noon", "--n", "200000"),
+        ("mmse", "--example", "dephasing", "--n", "200000"),
+    ], ids=["bounds", "mmse"])
+    def test_large_n_fits_in_memory(self, argv):
+        # the banded likelihood keeps ~0.5 GB of the 6.4 GB dense table
+        proc = self.run_under_3gb(argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        header, rows = rows_of(proc.stdout)
+        assert len(rows) == (1 if argv[0] == "bounds" else 200001)
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="needs RLIMIT_AS")
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--example", "noon", "--n", "1000000000"),
+        ("mmse", "--example", "dephasing", "--n", "1000000000"),
+    ], ids=["bounds", "mmse"])
+    def test_out_of_memory(self, argv):
+        # the O(n) outcome arrays alone need 16 GB; the limit stops them at 3 GB
+        proc = self.run_under_3gb(argv)
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr

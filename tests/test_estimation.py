@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp, xlogy
 
+from qbounds import estimation
 from qbounds.bounds import obb_variational
 from qbounds.core import GridFunction, ParameterGrid, make_uniform_prior
 from qbounds.estimation import (
@@ -21,6 +24,7 @@ from qbounds.models import (
     field_model,
     noon_model,
 )
+from qbounds.numerics import binomial_band, log_binomial_pmf_vector, simpson_weights
 
 A_NOON = math.pi / 10.0
 
@@ -176,3 +180,89 @@ class TestMmseMse:
         np.testing.assert_array_equal(rep.zero_evidence, [False, True, True])
         np.testing.assert_allclose(rep.estimates[1:], 0.5)  # prior-mean placeholder
         assert rep.mse == pytest.approx(1.0 / 12.0, abs=1e-12)
+
+
+def dense_route(model, prior, n):
+    """(estimates, zero-evidence mask, evidence, E[x_hat | x]) from the full table."""
+    x = model.grid.nodes()
+    wp = simpson_weights(model.grid.m, model.grid.h) * prior.samples.values
+    like = likelihood_table(model, n)
+    evidence = like @ wp
+    zero = evidence <= 0.0
+    estimates = np.where(zero, wp @ x, (like @ (wp * x)) / np.where(zero, 1.0, evidence))
+    return estimates, zero, evidence, estimates @ like
+
+
+BUILDERS = {
+    "noon": lambda m: noon_model(NoonParams(10), (0.0, A_NOON), m, 1),
+    "dephasing-1.0": lambda m: dephasing_model(DephasingParams.from_eta(1.0),
+                                               (0.0, math.pi), m, 1),
+    "dephasing-0.8": lambda m: dephasing_model(DephasingParams.from_eta(0.8),
+                                               (0.0, math.pi), m, 1),
+    "field": lambda m: field_model(FieldParams(math.pi / 2), (0.0, math.pi / 2), m, 1),
+}
+# p = 0, 1, 1/2, the smallest subnormal and normal, and values next to them
+SPECIAL_P = [0.0, 1.0, 0.5, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+             1e-20, 1.0 - 2.0**-53, 1.0 - 1e-16, 0.5 - 2.0**-54, 0.5 + 2.0**-53]
+
+
+class TestBandedLikelihood:
+    """The banded MMSE routes against the dense likelihood table."""
+
+    @given(
+        n=st.integers(0, 5000),
+        p1=st.lists(st.one_of(st.sampled_from(SPECIAL_P), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=6),
+    )
+    # at k = 0 and k = n the bound is exact: p = 5e-324 gives a cell of e^-744.4
+    # at n = 1, and p = e^-372.53 one of e^-745.06 at n = 2, both nonzero
+    @example(n=1, p1=[5e-324, 1.0 - 2.0**-53])
+    @example(n=2, p1=[math.exp(-372.53), 1.0 - math.exp(-372.53)])
+    @example(n=0, p1=[0.0, 0.5, 1.0])
+    @example(n=5000, p1=[0.0, 1e-300, 0.5, 1.0])
+    @settings(max_examples=150, deadline=None)
+    def test_cells_outside_the_band_are_zero(self, n, p1):
+        p1 = np.array(p1)
+        lo, hi = binomial_band(n, p1)
+        dense = log_binomial_pmf_vector(n, p1)
+        k = np.arange(n + 1)[:, None]
+        assert np.all(dense[(k < lo) | (k > hi)] == 0.0)
+        assert np.all((0 <= lo) & (lo <= hi) & (hi <= n))
+
+    @pytest.mark.parametrize("m", [3, 5, 4001])
+    @pytest.mark.parametrize("n", [0, 1, 2, 30, 300, 3000])
+    @pytest.mark.parametrize("example", BUILDERS)
+    def test_matches_dense_route(self, example, n, m):
+        problem, model = BUILDERS[example](m)
+        prior, x = problem.prior, problem.grid.nodes()
+        estimates, zero, evidence, conditional_mean = dense_route(model, prior, n)
+        rep = mmse_mse(model, prior, n)
+        np.testing.assert_array_equal(rep.zero_evidence, zero)
+        live = evidence > 1e-280
+        np.testing.assert_allclose(rep.estimates[live], estimates[live], rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(mmse_estimates(model, prior, n), rep.estimates)
+        assert rep.mse == pytest.approx(mse_via_decomposition(model, prior, n), rel=1e-12)
+        np.testing.assert_allclose(rep.bias_curve.values, conditional_mean - x,
+                                   rtol=0, atol=1e-10)
+
+    def test_large_tables_span_several_blocks(self):
+        _, model = BUILDERS["noon"](4001)
+        assert len(list(estimation._likelihood_blocks(model, 3000))) > 1
+
+    @pytest.mark.parametrize("budget", [1, 64, 5000])
+    @pytest.mark.parametrize("example", ["noon", "dephasing-0.8"])
+    def test_block_budget_moves_only_rounding(self, monkeypatch, example, budget):
+        # budget 1 leaves one column per block, longer than the budget
+        problem, model = BUILDERS[example](401)
+        prior = problem.prior
+        ref = mmse_mse(model, prior, 300)
+        monkeypatch.setattr(estimation, "_BLOCK_CELLS", budget)
+        assert len(list(estimation._likelihood_blocks(model, 300))) > 1
+        rep = mmse_mse(model, prior, 300)
+        np.testing.assert_array_equal(rep.zero_evidence, ref.zero_evidence)
+        live = ~ref.zero_evidence
+        np.testing.assert_allclose(rep.estimates[live], ref.estimates[live],
+                                   rtol=1e-12, atol=0)
+        assert rep.mse == pytest.approx(ref.mse, rel=1e-12)
+        np.testing.assert_allclose(rep.bias_curve.values, ref.bias_curve.values,
+                                   rtol=0, atol=1e-12)

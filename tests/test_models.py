@@ -74,6 +74,19 @@ class TestInterferometer:
         assert p.alpha_sq * math.tanh(p.alpha_sq) == pytest.approx(1.0, abs=1e-10)
         assert interferometer_qfi(p) == pytest.approx(6.3994, abs=1e-3)
 
+    @pytest.mark.parametrize("n_b", np.logspace(-12, 12, 49))
+    def test_alpha_sq_matches_brentq(self, n_b):
+        from scipy.optimize import brentq
+
+        expected = brentq(lambda u: u * math.tanh(u) - n_b, 0.0, n_b + 2.0,
+                          xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        assert InterferometerParams(1.0, n_b).alpha_sq == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("n_b", [-1.0, math.nan, math.inf])
+    def test_photon_number_domain(self, n_b):
+        with pytest.raises(DomainError):
+            InterferometerParams(1.0, n_b)
+
     @pytest.mark.parametrize("n_a", [0.0, 1.0, 4.0])
     def test_dark_port_b(self, n_a):
         p = InterferometerParams(n_a, 0.0)

@@ -141,10 +141,22 @@ class TestBinomialPmf:
         table = log_binomial_pmf_vector(n, np.array([p, 1.0 - p]))
         assert table[k, 0] == pytest.approx(table[n - k, 1], rel=1e-13, abs=1e-300)
 
+    def test_symmetry_drawn_failure(self):
+        # a draw of test_symmetry that was 1.1e-13 apart before k was mirrored
+        n, p, k = 31, 8.881784197001252e-16, 18
+        table = log_binomial_pmf_vector(n, np.array([p, 1.0 - p]))
+        assert table[k, 0] == pytest.approx(table[n - k, 1], rel=1e-13, abs=1e-300)
+
+    def test_row_range(self):
+        p1 = np.array([0.0, 0.3, 0.5, 0.8, 1.0])
+        full = log_binomial_pmf_vector(40, p1)
+        np.testing.assert_array_equal(log_binomial_pmf_vector(40, p1, 7, 19), full[7:20])
+
     def test_vector_matches_scalar(self):
         # scipy's scalar pmf is an independent reference for every cell
         p1 = np.array([0.0, 1e-3, 0.2, 0.5, 0.9, 1.0 - 1e-9, 1.0])
-        for n, rel in ((7, 1e-13), (300, 1e-11)):
+        # at n = 3000 the ~2e4-sized log terms round to ~7e-12 relative
+        for n, rel in ((7, 1e-13), (300, 1e-11), (3000, 1e-11)):
             table = log_binomial_pmf_vector(n, p1)
             expected = binom.pmf(np.arange(n + 1)[:, None], n, p1)
             live = expected > 1e-280
