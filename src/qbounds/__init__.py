@@ -42,7 +42,6 @@ from .errors import (
 from .estimation import (
     BinaryMeasurementModel,
     MmseReport,
-    mmse_estimates,
     mmse_mse,
     mse_via_decomposition,
 )

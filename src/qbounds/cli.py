@@ -410,14 +410,16 @@ def make_parser() -> argparse.ArgumentParser:
         ("mmse", "posterior-mean estimates per outcome count at one n"),
     ):
         p = sub.add_parser(name, help=help_text)
+        # values stay text here: build_config checks them with _number, like
+        # the same values from the config file or the environment
         p.add_argument("--example", choices=_EXAMPLES)
-        p.add_argument("--n", type=int, default=None)
+        p.add_argument("--n", default=None)
         p.add_argument("--n-range", default=None, metavar="MIN:MAX")
         p.add_argument("--prior", default=None, metavar="A1:A2")
-        p.add_argument("--grid", type=int, default=None, metavar="M")
+        p.add_argument("--grid", default=None, metavar="M")
         p.add_argument("--param", action="append", metavar="KEY=VALUE")
         p.add_argument("--sweep", default=None, metavar="KEY=V1,V2,...")
-        p.add_argument("--stride", type=int, default=None)
+        p.add_argument("--stride", default=None)
         p.add_argument("--out", default=None, metavar="PATH")
         p.add_argument("--report", default=None, metavar="PATH")
         p.add_argument("--config", default=None, metavar="PATH")

@@ -3,10 +3,13 @@
 A binary measurement with per-parameter success probability p1(x), repeated
 n times, is summarized by the count k of 1-outcomes (a sufficient statistic,
 so the outcome space is n+1 values instead of 2^n sequences). The posterior
-mean per k is the MMSE estimate; Bayes risk, the estimator bias curve, and
-the variance/bias decomposition are all computed by Simpson quadrature on
-the shared grid. No Monte Carlo anywhere, so every quantity is deterministic
-and testable to tight tolerances.
+mean per k is the MMSE estimate. ``mmse_mse`` is the one MMSE entry point:
+it returns the estimates, their Bayes risk, the estimator bias curve and the
+zero-evidence mask, summing only the banded likelihood blocks.
+``mse_via_decomposition`` recomputes the risk as variance plus squared bias
+over the dense table, as an independent check. Every integral is Simpson
+quadrature on the shared grid. No Monte Carlo anywhere, so every quantity is
+deterministic and testable to tight tolerances.
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ __all__ = [
     "BinaryMeasurementModel",
     "MmseReport",
     "likelihood_table",
-    "mmse_estimates",
     "mmse_mse",
     "mse_via_decomposition",
 ]
@@ -67,35 +69,27 @@ def likelihood_table(m: BinaryMeasurementModel, n: int) -> np.ndarray:
 
 
 # Likelihood cells per block (512 KiB, so the kernel's passes over a block
-# stay in cache); a column whose band alone is longer gets its own block.
+# stay in cache), counted at the widest column band; a column whose band
+# alone is longer gets its own block.
 _BLOCK_CELLS = 1 << 16
 
 
 def _likelihood_blocks(m: BinaryMeasurementModel, n: int):
     """Yield (columns, k_lo, block) covering every nonzero likelihood cell.
 
-    Columns are walked in contiguous chunks; each block holds rows
-    k_lo..k_lo + len(block) - 1 of those columns, the union of their
-    binomial_band rows, with at most _BLOCK_CELLS cells unless a single
-    column's band is longer. Every cell outside the blocks is exactly 0.0 in
-    likelihood_table.
+    Columns are walked in chunks of one width, max(1, _BLOCK_CELLS // rows)
+    with rows the length of the widest binomial_band (the last chunk may be
+    narrower); each block holds rows k_lo..k_lo + len(block) - 1 of its
+    columns, the union of their bands. Every cell outside the blocks is
+    exactly 0.0 in likelihood_table.
     """
-    if n < 0:
-        raise DomainError(f"repetition count must be >= 0, got {n}")
     p1 = m.p1.values
     lo, hi = binomial_band(n, p1)
-    start = 0
-    while start < p1.size:
-        # every column has a row, so no more than _BLOCK_CELLS columns fit
-        stop = min(p1.size, start + _BLOCK_CELLS)
-        rows = (np.maximum.accumulate(hi[start:stop])
-                - np.minimum.accumulate(lo[start:stop]) + 1)
-        cells = rows * np.arange(1, rows.size + 1)
-        stop = start + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
-        cols = slice(start, stop)
+    width = max(1, _BLOCK_CELLS // int((hi - lo).max() + 1))
+    for start in range(0, p1.size, width):
+        cols = slice(start, min(start + width, p1.size))
         k_lo, k_hi = int(lo[cols].min()), int(hi[cols].max())
         yield cols, k_lo, log_binomial_pmf_vector(n, p1[cols], k_lo, k_hi)
-        start = stop
 
 
 def _check_shared_grid(m: BinaryMeasurementModel, prior: PriorDensity) -> None:
@@ -110,37 +104,6 @@ def _posterior_means(evidence, first_moment, prior_mean):
     return np.where(zero, prior_mean, first_moment / np.where(zero, 1.0, evidence)), zero
 
 
-def _banded_posterior_means(m: BinaryMeasurementModel, prior: PriorDensity, n: int,
-                            keep: list | None = None):
-    """(posterior means, zero-evidence mask) summed over likelihood blocks.
-
-    Evidence and first moment are Simpson sums over x, taken block by block
-    as products with the prior-weighted Simpson weights. The O(n) sums are
-    allocated before any block; the blocks are appended to ``keep`` if given.
-    """
-    _check_shared_grid(m, prior)
-    x = m.grid.nodes()
-    wp = simpson_weights(m.grid.m, m.grid.h) * prior.samples.values
-    weights = np.column_stack([wp, wp * x])
-    moments = np.zeros((n + 1, 2))                      # evidence, first moment
-    for cols, k_lo, block in _likelihood_blocks(m, n):
-        moments[k_lo:k_lo + len(block)] += block @ weights[cols]
-        if keep is not None:
-            keep.append((cols, k_lo, block))
-    return _posterior_means(moments[:, 0], moments[:, 1], wp @ x)
-
-
-def mmse_estimates(
-    m: BinaryMeasurementModel, prior: PriorDensity, n: int
-) -> np.ndarray:
-    """Posterior mean x_hat(k) for k = 0..n.
-
-    Zero-evidence outcomes (impossible under the model) are reported as the
-    prior mean; they carry zero probability weight in any risk sum.
-    """
-    return _banded_posterior_means(m, prior, n)[0]
-
-
 def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseReport:
     """Bayes risk and bias curve of the posterior-mean estimator of x.
 
@@ -148,11 +111,23 @@ def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseRepo
     bias_curve(x) = sum_k x_hat(k) p(k|x) - x. The estimator targets the
     parameter itself (f(x) = x). Only the banded likelihood blocks are
     formed, and kept for the second sweep: memory is O(n + kept cells),
-    never the (n+1) x m table.
+    never the (n+1) x m table. Outcomes with zero evidence (impossible
+    under the model) get the prior mean as their estimate and carry no
+    weight in the risk.
     """
-    blocks = []
-    estimates, zero = _banded_posterior_means(m, prior, n, keep=blocks)
+    if n < 0:
+        raise DomainError(f"repetition count must be >= 0, got {n}")
+    _check_shared_grid(m, prior)
     x, p = m.grid.nodes(), prior.samples.values
+    wp = simpson_weights(m.grid.m, m.grid.h) * p
+    weights = np.column_stack([wp, wp * x])
+    # the O(n) outcome sums come first, so a hopeless n fails before any block
+    moments = np.zeros((n + 1, 2))                      # evidence, first moment
+    blocks = []
+    for cols, k_lo, block in _likelihood_blocks(m, n):
+        moments[k_lo:k_lo + len(block)] += block @ weights[cols]
+        blocks.append((cols, k_lo, block))
+    estimates, zero = _posterior_means(moments[:, 0], moments[:, 1], wp @ x)
     risk = np.empty(m.grid.m)
     conditional_mean = np.empty(m.grid.m)               # E[x_hat | x]
     for cols, k_lo, block in blocks:

@@ -127,6 +127,10 @@ def binomial_band(n: int, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # smallest k with k >= mean or log bound(k) > _LOG_UNDERFLOW, given
         # the bound at k = 0
         k = np.zeros(p1.shape, dtype=int)
+        # Only columns whose end cell underflows bisect. At small n that is
+        # almost none of them; without the filter every column would take
+        # log2(n) vectorized steps (noon n = 1..30 on 4001 nodes: 9 ms of
+        # binomial_band per sweep would become 60-70 ms).
         cols = np.flatnonzero(at_zero <= _LOG_UNDERFLOW)
         mean, rest = mean[cols], rest[cols]
         bad, good = np.full(cols.size, -1), np.full(cols.size, n)

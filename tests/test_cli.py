@@ -345,6 +345,10 @@ class TestParameterChecks:
                          id="bias-n-range"),
             pytest.param(("mmse", "--example", "noon", "--n-range", "1:3"), None,
                          id="mmse-n-range"),
+            pytest.param(("bounds", "--example", "noon", "--n", "1.5"), None,
+                         id="fractional-n"),
+            pytest.param(("bias", "--example", "noon", "--n", "1", "--stride", "2.5"),
+                         None, id="fractional-stride"),
             pytest.param(("bounds",), {"example": "noon", "n_list": [1.5, 2.7]},
                          id="config-fractional-n_list"),
             pytest.param(("bounds", "--n", "1"),
@@ -366,6 +370,14 @@ class TestParameterChecks:
         assert err.startswith("qbounds: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_fractional_grid_rejected_with_exit_2(self, tmp_path, capsys):
+        # not a case of the table above: it appends its own --grid
+        code, csv_text, _ = run(tmp_path, "bounds", "--example", "noon", "--n", "1",
+                                "--grid", "1001.5")
+        assert (code, csv_text) == (2, None)
+        err = capsys.readouterr().err
+        assert err.startswith("qbounds: grid size") and err.count("\n") == 1
+
     def test_n_range_at_limit_accepted(self):
         # parsed only: 10000 rows at n up to 10004 would take far too long
         args = make_parser().parse_args(
@@ -378,6 +390,13 @@ class TestParameterChecks:
         assert code == 0
         assert doc["config"]["params"] == {"N": 10}
         assert csv_text == run(tmp_path, *args)[1]
+
+    def test_integral_float_n_accepted(self, tmp_path):
+        args = ("bounds", "--example", "noon", *GRID)
+        code, csv_text, doc = run(tmp_path, *args, "--n", "2.0")
+        assert code == 0
+        assert doc["config"]["n_list"] == [2]
+        assert csv_text == run(tmp_path, *args, "--n", "2")[1]
 
     def test_gamma_alone_round_trip(self, tmp_path):
         code, csv_text, doc = run(

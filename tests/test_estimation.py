@@ -9,9 +9,9 @@ from scipy.special import gammaln, logsumexp, xlogy
 from qbounds import estimation
 from qbounds.bounds import obb_variational
 from qbounds.core import GridFunction, ParameterGrid, make_uniform_prior
+from qbounds.errors import DomainError
 from qbounds.estimation import (
     BinaryMeasurementModel,
-    mmse_estimates,
     mmse_mse,
     likelihood_table,
     mse_via_decomposition,
@@ -64,14 +64,14 @@ class TestOutcomePmf:
 class TestMmseEstimates:
     def test_prior_mean_with_no_data(self):
         problem, model = noon(m=801)
-        est = mmse_estimates(model, problem.prior, 0)
+        est = mmse_mse(model, problem.prior, 0).estimates
         assert est.shape == (1,)
         assert est[0] == pytest.approx(A_NOON / 2.0, rel=1e-12)
 
     def test_noon_n1_against_quadrature_oracle(self):
         # frozen from scipy.integrate.quad on sin^2(5x) moments
         problem, model = noon()
-        est = mmse_estimates(model, problem.prior, 1)
+        est = mmse_mse(model, problem.prior, 1).estimates
         assert est[0] == pytest.approx(0.09341765544273153, abs=1e-8)
         assert est[1] == pytest.approx(0.22074160991624783, abs=1e-8)
         assert est[0] < math.pi / 20.0 < est[1]
@@ -80,14 +80,14 @@ class TestMmseEstimates:
         # p1(t) = sin^2(5t) satisfies p1(a - t) = 1 - p1(t) on (0, pi/10)
         problem, model = noon()
         for n in (1, 4, 9):
-            est = mmse_estimates(model, problem.prior, n)
+            est = mmse_mse(model, problem.prior, n).estimates
             np.testing.assert_allclose(est + est[::-1], A_NOON, atol=1e-10)
 
     def test_estimates_inside_support(self):
         problem, model = field_model(
             FieldParams(math.pi / 2), (0.0, math.pi / 2), 2001, 12
         )
-        est = mmse_estimates(model, problem.prior, 12)
+        est = mmse_mse(model, problem.prior, 12).estimates
         assert est.min() >= 0.0
         assert est.max() <= math.pi / 2.0
 
@@ -116,7 +116,7 @@ class TestLogSpaceBayes:
         means = np.exp(log_joint - log_evidence[:, None]) @ x
         live = log_evidence > math.log(1e-280)
         assert live.sum() > n // 2
-        est = mmse_estimates(model, problem.prior, n)
+        est = mmse_mse(model, problem.prior, n).estimates
         np.testing.assert_allclose(est[live], means[live], rtol=1e-12, atol=0)
 
 
@@ -171,6 +171,12 @@ class TestMmseMse:
         b1 = mmse_mse(model, problem1.prior, 1).bias_curve
         b20 = mmse_mse(model, problem20.prior, 20).bias_curve
         assert np.max(np.abs(b20.values)) < np.max(np.abs(b1.values))
+
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_repetition_count_rejected(self, n):
+        problem, model = noon(m=101)
+        with pytest.raises(DomainError, match="repetition count"):
+            mmse_mse(model, problem.prior, n)
 
     def test_zero_evidence_outcomes_flagged(self):
         grid = ParameterGrid(0.0, 1.0, 201)
@@ -240,10 +246,26 @@ class TestBandedLikelihood:
         np.testing.assert_array_equal(rep.zero_evidence, zero)
         live = evidence > 1e-280
         np.testing.assert_allclose(rep.estimates[live], estimates[live], rtol=1e-12, atol=0)
-        np.testing.assert_array_equal(mmse_estimates(model, prior, n), rep.estimates)
         assert rep.mse == pytest.approx(mse_via_decomposition(model, prior, n), rel=1e-12)
         np.testing.assert_allclose(rep.bias_curve.values, conditional_mean - x,
                                    rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_blocks_tile_columns_at_one_width(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(estimation, "_BLOCK_CELLS", budget)
+        n, m = 3000, 4001
+        _, model = BUILDERS["noon"](m)
+        lo, hi = binomial_band(n, model.p1.values)
+        width = max(1, estimation._BLOCK_CELLS // int((hi - lo).max() + 1))
+        blocks = list(estimation._likelihood_blocks(model, n))
+        columns = [np.arange(m)[cols] for cols, _, _ in blocks]
+        np.testing.assert_array_equal(np.concatenate(columns), np.arange(m))
+        assert all(c.size == width for c in columns[:-1])
+        assert 1 <= columns[-1].size <= width
+        for c, (_, k_lo, block) in zip(columns, blocks):
+            assert block.shape[1] == c.size
+            assert k_lo <= lo[c].min() and hi[c].max() <= k_lo + len(block) - 1
 
     def test_large_tables_span_several_blocks(self):
         _, model = BUILDERS["noon"](4001)
