@@ -26,7 +26,7 @@ for n in (1, 2, 3, 5, 10, 20, 30):
     mse = mmse_mse(model, problem.prior, n).mse
     print(
         f"{n:>3} {qcrb:12.6g} {rep.value:12.6g} {mse:12.6g} "
-        f"{rep.diagnostics.ode_residual_max:13.3e}"
+        f"{rep.residual:13.3e}"
     )
 
 problem, _ = field_model(FieldParams(math.pi / 2.0), SUPPORT, GRID_M, 1)

@@ -7,7 +7,6 @@ binomial measurement models, on a shared deterministic grid.
 
 from .bounds import (
     BoundReport,
-    SolverDiagnostics,
     bayesian_qcrb,
     bias_ode_residual,
     bound_functional,

@@ -33,7 +33,6 @@ from .errors import DomainError, GridMismatch, SingularSystem
 from .numerics import composite_simpson, solve_tridiagonal
 
 __all__ = [
-    "SolverDiagnostics",
     "BoundReport",
     "bound_functional",
     "bayesian_qcrb",
@@ -55,18 +54,17 @@ _SERIES_Z = 0.1
 _DEFICIT_SERIES = (1 / 3, -2 / 15, 17 / 315, -62 / 2835, 1382 / 155925, -21844 / 6081075)
 
 
-@dataclass(frozen=True)
-class SolverDiagnostics:
-    ode_residual_max: float | None
-
-
 @dataclass(frozen=True, eq=False)
 class BoundReport:
-    """An MSE lower bound with the bias function that produced it."""
+    """An MSE lower bound with the bias function that produced it.
+
+    ``residual`` is the bias's flux-form Euler-Lagrange residual
+    (bias_ode_residual) where the bias was solved for, else None.
+    """
 
     value: float
     bias: GridFunction | None
-    diagnostics: SolverDiagnostics
+    residual: float | None
 
     def __post_init__(self) -> None:
         if self.value < 0.0:
@@ -97,7 +95,7 @@ def bayesian_qcrb(p: EstimationProblem) -> BoundReport:
         p.prior.samples.values * p.target.f_prime.values**2 / p.qfi.effective()
     )
     value = float(composite_simpson(integrand, p.grid.h))
-    return BoundReport(value, None, SolverDiagnostics(None))
+    return BoundReport(value, None, None)
 
 
 def optimal_bias_closed_form(j: float, a: float, grid: ParameterGrid) -> GridFunction:
@@ -119,29 +117,27 @@ def optimal_bias_closed_form(j: float, a: float, grid: ParameterGrid) -> GridFun
     return GridFunction(grid, b)
 
 
-def obb_closed_form(
-    j_effective: float, a: float, grid: ParameterGrid | None = None
-) -> BoundReport:
+def obb_closed_form(j_effective: float, a: float) -> BoundReport:
     """Closed-form OBB for uniform prior on (0, a) and constant effective QFI.
 
     value = 1/J - (2 / (a J^{3/2})) tanh(a sqrt(J) / 2) = (1 - tanh(z)/z) / J
     with z = a sqrt(J) / 2, which tends to the prior variance a^2/12 as
-    a^2 J -> 0 without cancelling against 1/J.
+    a^2 J -> 0 without cancelling against 1/J. The bias is sampled on
+    DEFAULT_GRID_M nodes of [0, a].
     """
     if j_effective <= 0.0 or a <= 0.0:
         raise DomainError(
             f"need positive QFI and width, got j={j_effective}, a={a}"
         )
-    if grid is None:
-        grid = ParameterGrid(0.0, a, DEFAULT_GRID_M)
     z = a * np.sqrt(j_effective) / 2.0
     if z < _SERIES_Z:
         deficit = z * z * np.polynomial.polynomial.polyval(z * z, _DEFICIT_SERIES)
     else:
         deficit = 1.0 - np.tanh(z) / z
     value = deficit / j_effective
+    grid = ParameterGrid(0.0, a, DEFAULT_GRID_M)
     bias = optimal_bias_closed_form(j_effective, a, grid)
-    return BoundReport(float(value), bias, SolverDiagnostics(None))
+    return BoundReport(float(value), bias, None)
 
 
 def _cell_weights(p: EstimationProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -250,4 +246,4 @@ def obb_variational(p: EstimationProblem) -> BoundReport:
     bias = solve_optimal_bias(p)
     value = bound_functional(p, bias, bias.derivative())
     residual = bias_ode_residual(p, bias)
-    return BoundReport(value, bias, SolverDiagnostics(residual))
+    return BoundReport(value, bias, residual)

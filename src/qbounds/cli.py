@@ -10,10 +10,15 @@ Subcommands:
 * ``mmse``   - posterior-mean estimates per outcome count at one n; CSV
   ``k,estimate,zero_evidence``.
 
-Output is deterministic byte-for-byte: floats are printed with 12 significant
-digits, rows are ordered by axis value, and nothing in the pipeline is
-random. Every run can also emit a JSON report (``--report``) whose config
-echo reproduces the identical CSV when fed back through ``--config``.
+Every runner returns its rows as tuples in CSV column order, each checked
+by ``_check_row`` as it is produced, and a dict of run-level values
+(``max_ode_residual`` for bounds and bias, ``mse`` for mmse). Output is
+deterministic byte-for-byte: each cell is printed with ``%.12g`` (exact for
+the integers below 1e12 that n and k are capped to), rows are ordered by
+axis value, and nothing in the pipeline is random. Every run can also emit
+a JSON report (``--report``) whose ``rows`` are the CSV rows, whose
+``diagnostics`` hold the run-level values, and whose config echo reproduces
+the identical CSV when fed back through ``--config``.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (or out
 of memory), 4 invariant violation in the emitted rows.
@@ -82,6 +87,8 @@ _ALIASES = {"gamma": "eta"}
 
 # Longest --n-range accepted: each n is a full bound and MMSE evaluation.
 _MAX_N_RANGE = 10_000
+# Largest n accepted: %.12g prints every integer up to here exactly.
+_MAX_N = 999_999_999_999
 
 # Ordering tolerances enforced on every emitted row.
 _OBB_VS_QCRB_TOL = 1e-12
@@ -103,12 +110,6 @@ class RunConfig:
     def echo(self) -> dict:
         """Lossless resolved-config dictionary for the JSON report."""
         return {k: v for k, v in asdict(self).items() if k not in ("out", "report")}
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    return format(float(v), ".12g")
 
 
 def _number(value, what: str, integral: bool = False):
@@ -239,6 +240,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"n must be >= {floor} for the {args.command} command, got {min(n_list)}"
         )
+    if max(n_list) > _MAX_N:
+        raise ConfigError(f"n must be <= {_MAX_N}, got {max(n_list)}")
     if args.command != "bounds" and (len(n_list) != 1 or sweep is not None):
         raise ConfigError(f"the {args.command} command takes one n and no sweep")
     if sweep is not None and len(n_list) != 1:
@@ -280,7 +283,7 @@ def _measured_point(config: RunConfig):
     return problem, model, n
 
 
-def run_bounds_sweep(config: RunConfig) -> list[dict]:
+def run_bounds_sweep(config: RunConfig) -> tuple[list[tuple], dict]:
     """One row per axis value (n, or the sweep parameter at fixed n)."""
     rows = []
     if config.sweep is not None:
@@ -300,56 +303,47 @@ def run_bounds_sweep(config: RunConfig) -> list[dict]:
         mmse = None
         if model is not None:
             mmse = mmse_mse(model, problem.prior, n).mse
-        row = {
-            "axis": axis,
-            "qcrb": qcrb,
-            "obb": obb.value,
-            "mmse": mmse,
-            "obb_residual": obb.diagnostics.ode_residual_max,
-        }
-        _check_row(row)
-        rows.append(row)
-    return rows
+        rows.append(_check_row("bounds", (axis, qcrb, obb.value, mmse, obb.residual)))
+    return rows, {"max_ode_residual": max(row[-1] for row in rows)}
 
 
-def _check_row(row: dict) -> None:
-    for key in ("qcrb", "obb", "mmse"):
-        if row[key] is not None and not math.isfinite(row[key]):
-            raise InvariantViolation(f"axis={row['axis']}: {key} is {row[key]!r}")
-    if row["obb"] > row["qcrb"] + _OBB_VS_QCRB_TOL:
-        raise InvariantViolation(
-            f"axis={row['axis']}: obb {row['obb']!r} exceeds qcrb {row['qcrb']!r}"
-        )
-    if row["mmse"] is not None and row["obb"] > row["mmse"] + _OBB_VS_MMSE_TOL:
-        raise InvariantViolation(
-            f"axis={row['axis']}: obb {row['obb']!r} exceeds mmse {row['mmse']!r}"
-        )
+def _check_row(command: str, row: tuple) -> tuple:
+    """The output invariants of one row of ``command``; returns the row.
+
+    Every non-empty cell is finite, and a bounds row keeps obb <= qcrb and
+    obb <= mmse within their tolerances. Raises InvariantViolation.
+    """
+    cols = _CSV_COLUMNS[command]
+    for name, v in zip(cols, row):
+        if v is not None and not math.isfinite(v):
+            raise InvariantViolation(f"{cols[0]}={row[0]}: {name} is {v}")
+    if command == "bounds":
+        axis, qcrb, obb, mmse, _ = row
+        if obb > qcrb + _OBB_VS_QCRB_TOL:
+            raise InvariantViolation(f"axis={axis}: obb {obb!r} exceeds qcrb {qcrb!r}")
+        if mmse is not None and obb > mmse + _OBB_VS_MMSE_TOL:
+            raise InvariantViolation(f"axis={axis}: obb {obb!r} exceeds mmse {mmse!r}")
+    return row
 
 
-def run_bias_dump(config: RunConfig) -> list[dict]:
+def run_bias_dump(config: RunConfig) -> tuple[list[tuple], dict]:
     """Solved optimal bias next to the MMSE estimator bias at one n."""
     problem, model, n = _measured_point(config)
     report = obb_variational(problem)
     bias_mmse = mmse_mse(model, problem.prior, n).bias_curve
-    x = problem.grid.nodes()
-    rows = [
-        {"x": x[i], "bias_opt": report.bias.values[i],
-         "bias_mmse": bias_mmse.values[i],
-         "obb_residual": report.diagnostics.ode_residual_max}
-        for i in range(0, problem.grid.m, config.stride)
-    ]
-    return rows
+    columns = (problem.grid.nodes(), report.bias.values, bias_mmse.values)
+    rows = [_check_row("bias", row)
+            for row in zip(*(c[::config.stride].tolist() for c in columns))]
+    return rows, {"max_ode_residual": report.residual}
 
 
-def run_mmse(config: RunConfig) -> list[dict]:
-    """Posterior-mean estimates and risk for one n."""
+def run_mmse(config: RunConfig) -> tuple[list[tuple], dict]:
+    """Posterior-mean estimates for one n; the risk is a run-level value."""
     problem, model, n = _measured_point(config)
     rep = mmse_mse(model, problem.prior, n)
-    return [
-        {"k": k, "estimate": rep.estimates[k],
-         "zero_evidence": int(rep.zero_evidence[k]), "mse": rep.mse}
-        for k in range(n + 1)
-    ]
+    estimates, zero = rep.estimates.tolist(), rep.zero_evidence.tolist()
+    rows = [_check_row("mmse", (k, estimates[k], int(zero[k]))) for k in range(n + 1)]
+    return rows, {"mse": rep.mse}
 
 
 _CSV_COLUMNS = {
@@ -359,34 +353,22 @@ _CSV_COLUMNS = {
 }
 
 
-def render_csv(command: str, rows: list[dict]) -> str:
-    cols = _CSV_COLUMNS[command]
-    # integer cells print as integers: format(float(k), ".12g") == str(k)
-    # for every k below 1e12
-    return "\n".join(
-        [",".join(cols), *[",".join([_fmt(row[c]) for c in cols]) for row in rows]]
-    ) + "\n"
+def render_csv(command: str, rows: list[tuple]) -> str:
+    """The CSV text: a header, then each cell as %.12g, None as empty."""
+    return "\n".join([",".join(_CSV_COLUMNS[command]), *[
+        ",".join(["" if v is None else "%.12g" % v for v in row]) for row in rows
+    ]]) + "\n"
 
 
-def emit_report(
-    config: RunConfig, command: str, rows: list[dict], wall_time_ms: float
-) -> dict:
-    residuals = [
-        r["obb_residual"]
-        for r in rows
-        if r.get("obb_residual") is not None
-    ]
-    doc = {
+def emit_report(config: RunConfig, command: str, rows: list[tuple],
+                values: dict, wall_time_ms: float) -> dict:
+    return {
         "config": {**config.echo(), "command": command},
         "rows": rows,
-        "diagnostics": {
-            "max_ode_residual": max(residuals) if residuals else None,
-            "grid_m": config.grid_points,
-            "wall_time_ms": wall_time_ms,
-        },
+        "diagnostics": {**values, "grid_m": config.grid_points,
+                        "wall_time_ms": wall_time_ms},
         "version": __version__,
     }
-    return doc
 
 
 def _write(path: str | None, text: str) -> None:
@@ -434,11 +416,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = build_config(args)
         start = time.perf_counter()
-        rows = _RUNNERS[args.command](config)
+        rows, values = _RUNNERS[args.command](config)
         wall_ms = (time.perf_counter() - start) * 1e3
         _write(config.out, render_csv(args.command, rows))
         if config.report:
-            doc = emit_report(config, args.command, rows, wall_ms)
+            doc = emit_report(config, args.command, rows, values, wall_ms)
             _write(config.report, json.dumps(doc, indent=2) + "\n")
     except InvariantViolation as exc:
         print(f"qbounds: output invariant violated: {exc}", file=sys.stderr)

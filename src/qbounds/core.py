@@ -108,10 +108,11 @@ class PriorDensity:
 
     def __post_init__(self) -> None:
         v = self.samples.values
-        if v.min() < 0.0:
-            raise UnnormalizedPrior("prior density has negative samples")
-        total = composite_simpson(v, self.samples.grid.h)
-        if abs(total - 1.0) > _PRIOR_NORM_TOL:
+        # written so that nan samples and a nan total fail the test
+        if not (v.min() >= 0.0 and v.max() < np.inf):
+            raise UnnormalizedPrior("prior density has negative or non-finite samples")
+        total = float(composite_simpson(v, self.samples.grid.h))
+        if not abs(total - 1.0) <= _PRIOR_NORM_TOL:
             raise UnnormalizedPrior(f"prior integrates to {total!r}, not 1")
 
     @property
@@ -158,8 +159,9 @@ class QfiProfile:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise NonPositiveQfi(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.j_base.values.min() <= 0.0:
-            raise NonPositiveQfi("QFI must be strictly positive on the grid")
+        v = self.j_base.values
+        if not (v.min() > 0.0 and v.max() < np.inf):
+            raise NonPositiveQfi("QFI must be finite and strictly positive on the grid")
 
     @classmethod
     def constant(cls, grid: ParameterGrid, j: float, repetitions: int = 1) -> "QfiProfile":

@@ -23,11 +23,11 @@ class GridMismatch(QboundsError):
 
 
 class UnnormalizedPrior(QboundsError):
-    """Prior density does not integrate to 1 (or has negative samples)."""
+    """Prior samples are negative or non-finite, or do not integrate to 1."""
 
 
 class NonPositiveQfi(QboundsError):
-    """QFI profile is not strictly positive on the grid."""
+    """QFI profile is not finite and strictly positive on the grid."""
 
 
 class DomainError(QboundsError):

@@ -123,7 +123,8 @@ def noon_model(
 ) -> tuple[EstimationProblem, BinaryMeasurementModel]:
     """NOON-state phase estimation: constant QFI N^2, p1 = sin^2(Nx/2)."""
     grid = ParameterGrid(prior_support[0], prior_support[1], m)
-    qfi = QfiProfile.constant(grid, float(params.N) ** 2, n)
+    # N * N is inf where N ** 2 raises OverflowError; QfiProfile rejects inf
+    qfi = QfiProfile.constant(grid, float(params.N) * float(params.N), n)
     problem = _uniform_problem(prior_support, m, qfi)
     p1 = np.sin(params.N * grid.nodes() / 2.0) ** 2
     model = BinaryMeasurementModel(GridFunction(grid, p1))

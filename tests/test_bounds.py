@@ -235,7 +235,7 @@ class TestObbVariational:
         rep = obb_variational(p)
         exact = obb_closed_form(j, A_NOON).value
         assert rep.value == pytest.approx(exact, rel=1e-6)
-        assert rep.diagnostics.ode_residual_max is not None
+        assert rep.residual is not None
 
     def test_never_above_qcrb(self):
         for build in (

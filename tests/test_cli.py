@@ -5,8 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbounds.cli import build_config, main, make_parser
+from qbounds.cli import _check_row, build_config, main, make_parser, render_csv
+from qbounds.errors import InvariantViolation
 
 # small grid keeps the CLI suite fast; still odd and Simpson-compatible
 GRID = ["--grid", "1001"]
@@ -165,7 +168,7 @@ class TestMmseCommand:
         assert header == ["k", "estimate", "zero_evidence"]
         assert len(rows) == 1
         assert float(rows[0][1]) == pytest.approx(math.pi / 20.0, rel=1e-10)
-        assert doc["rows"][0]["mse"] == pytest.approx((math.pi / 10) ** 2 / 12, rel=1e-9)
+        assert doc["diagnostics"]["mse"] == pytest.approx((math.pi / 10) ** 2 / 12, rel=1e-9)
 
     def test_estimates_per_outcome(self, tmp_path):
         code, csv_text, _ = run(
@@ -356,6 +359,19 @@ class TestParameterChecks:
                          id="config-text-param"),
             pytest.param(("bounds", "--n", "1"), {"example": "noon", "prior": 5},
                          id="config-scalar-prior"),
+            # float(N) ** 2 raised OverflowError
+            pytest.param(("bounds", "--example", "noon", "--n", "1",
+                          "--param", "N=1e170"), None, id="N-squared-overflows"),
+            # J = inf made the obb nan
+            pytest.param(("bounds", "--example", "interferometer", "--n", "1",
+                          "--param", "n_a=1e200", "--param", "n_b=1e200"), None,
+                         id="infinite-interferometer-qfi"),
+            # .12g prints both n as 1.23456789012e+12
+            pytest.param(("bounds", "--example", "interferometer",
+                          "--n-range", "1234567890123:1234567890124"), None,
+                         id="n-past-print-limit"),
+            pytest.param(("bounds", "--example", "noon", "--n", "1e21"), None,
+                         id="huge-n"),
         ],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, argv, cfg):
@@ -377,6 +393,20 @@ class TestParameterChecks:
         assert (code, csv_text) == (2, None)
         err = capsys.readouterr().err
         assert err.startswith("qbounds: grid size") and err.count("\n") == 1
+
+    def test_nan_prior_rejected_with_exit_2(self, tmp_path, capsys):
+        # on the default 4001 nodes the density is inf and the Simpson total
+        # nan; at --grid 1001 the total is inf, which was always rejected
+        code, csv_text, _ = run(tmp_path, "mmse", "--example", "noon", "--n", "1",
+                                "--prior", "0:1e-320")
+        assert (code, csv_text) == (2, None)
+        err = capsys.readouterr().err
+        assert err.startswith("qbounds: prior") and err.count("\n") == 1
+
+    def test_n_at_print_limit_accepted(self):
+        args = make_parser().parse_args(
+            ["bounds", "--example", "noon", "--n", "999999999999"])
+        assert build_config(args).n_list == [999999999999]
 
     def test_n_range_at_limit_accepted(self):
         # parsed only: 10000 rows at n up to 10004 would take far too long
@@ -428,3 +458,52 @@ class TestParameterChecks:
         code2, csv2, _ = run(tmp_path, "bounds", "--config", str(cfg))
         assert code2 == 0
         assert csv2 == csv_text
+
+
+class TestOutputContract:
+    @given(st.lists(st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.integers(0, 999_999_999_999), st.none()),
+        min_size=3, max_size=3), max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_render_csv_matches_format_reference(self, rows):
+        # the reference formatter the CSV has always been defined by
+        expected = ["x,bias_opt,bias_mmse"] + [
+            ",".join("" if v is None else format(float(v), ".12g") for v in row)
+            for row in rows
+        ]
+        assert render_csv("bias", rows) == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("command, row, message", [
+        ("bounds", (1.0, 0.01, 0.005, math.nan, 1e-12), "axis=1.0: mmse is nan"),
+        ("bounds", (2.0, math.nan, 0.005, None, 1e-12), "axis=2.0: qcrb is nan"),
+        ("bias", (0.25, 0.1, math.nan), "x=0.25: bias_mmse is nan"),
+        ("mmse", (3, math.nan, 0), "k=3: estimate is nan"),
+    ])
+    def test_check_row_rejects_nan_cell(self, command, row, message):
+        with pytest.raises(InvariantViolation, match=message):
+            _check_row(command, row)
+
+    @pytest.mark.parametrize("command, row", [
+        ("bounds", (1.0, 0.01, 0.005, 0.008, 1e-12)),
+        ("bounds", (1.0, 0.01, 0.005, None, 1e-12)),
+        ("bias", (0.25, 0.1, -0.1)),
+        ("mmse", (3, 0.2, 1)),
+    ])
+    def test_check_row_passes_finite_row(self, command, row):
+        assert _check_row(command, row) is row
+
+    @pytest.mark.parametrize("row, message", [
+        ((1.0, 0.01, 0.01 + 1e-11, None, 0.0), "obb .* exceeds qcrb"),
+        ((1.0, 0.01, 0.005, 0.005 - 1e-9, 0.0), "obb .* exceeds mmse"),
+    ])
+    def test_check_row_orders_bounds(self, row, message):
+        with pytest.raises(InvariantViolation, match=message):
+            _check_row("bounds", row)
+
+    def test_report_rows_are_csv_rows(self, tmp_path):
+        code, csv_text, doc = run(
+            tmp_path, "mmse", "--example", "dephasing", "--n", "3", *GRID)
+        assert code == 0
+        assert render_csv("mmse", doc["rows"]) == csv_text
+        assert set(doc["diagnostics"]) == {"mse", "grid_m", "wall_time_ms"}

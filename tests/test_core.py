@@ -65,6 +65,15 @@ class TestUniformPrior:
         with pytest.raises(UnnormalizedPrior):
             PriorDensity(GridFunction(grid, 2.0 * np.ones(11)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        # a nan fails neither v.min() < 0 nor abs(total - 1) > tol
+        grid = ParameterGrid(0.0, 1.0, 11)
+        v = np.ones(11)
+        v[5] = bad
+        with pytest.raises(UnnormalizedPrior):
+            PriorDensity(GridFunction(grid, v))
+
 
 class TestTargetFunction:
     def test_identity_exact(self):
@@ -99,6 +108,16 @@ class TestValidateProblem:
         j[5] = 0.0
         with pytest.raises(NonPositiveQfi):
             QfiProfile(GridFunction(grid, j), 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_qfi_rejected(self, bad):
+        grid = ParameterGrid(0.0, 1.0, 11)
+        j = np.ones(11)
+        j[5] = bad
+        with pytest.raises(NonPositiveQfi):
+            QfiProfile(GridFunction(grid, j), 1)
+        with pytest.raises(NonPositiveQfi):
+            QfiProfile.constant(grid, bad)
 
     def test_grid_mismatch(self):
         prior = make_uniform_prior(0.0, 1.0, 11)
