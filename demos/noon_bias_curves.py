@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from qbounds import NoonParams, mmse_mse, noon_model, solve_optimal_bias
+from qbounds import NoonParams, estimator_bias, mmse_mse, noon_model, solve_optimal_bias
 
 GRID_M = 2001
 SUPPORT = (0.0, math.pi / 10.0)
@@ -18,7 +18,8 @@ COUNTS = (1, 2, 3, 15, 20)
 curves = {}
 for n in COUNTS:
     problem, model = noon_model(NoonParams(10), SUPPORT, GRID_M, n)
-    curves[n] = mmse_mse(model, problem.prior, n).bias_curve.values
+    estimates = mmse_mse(model, problem.prior, n).estimates
+    curves[n] = estimator_bias(model, estimates).values
 
 problem1, _ = noon_model(NoonParams(10), SUPPORT, GRID_M, 1)
 optimal = solve_optimal_bias(problem1).values

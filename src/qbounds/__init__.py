@@ -41,6 +41,7 @@ from .errors import (
 from .estimation import (
     BinaryMeasurementModel,
     MmseReport,
+    estimator_bias,
     mmse_mse,
     mse_via_decomposition,
 )

@@ -12,7 +12,8 @@ Subcommands:
 
 Every runner returns its rows as tuples in CSV column order, each checked
 by ``_check_row`` as it is produced, and a dict of run-level values
-(``max_ode_residual`` for bounds and bias, ``mse`` for mmse). Output is
+(``max_ode_residual`` for bounds and bias, ``mse`` for mmse), checked to be
+finite by ``_check_values`` before anything is written. Output is
 deterministic byte-for-byte: each cell is printed with ``%.12g`` (exact for
 the integers below 1e12 that n and k are capped to), rows are ordered by
 axis value, and nothing in the pipeline is random. Every run can also emit
@@ -44,7 +45,7 @@ from .errors import (
     SingularSystem,
     UnsupportedExample,
 )
-from .estimation import mmse_mse
+from .estimation import estimator_bias, mmse_mse
 from .models import (
     DephasingParams,
     FieldParams,
@@ -90,9 +91,12 @@ _MAX_N_RANGE = 10_000
 # Largest n accepted: %.12g prints every integer up to here exactly.
 _MAX_N = 999_999_999_999
 
-# Ordering tolerances enforced on every emitted row.
+# Ordering tolerances enforced on every emitted row. The obb <= mmse slack
+# is the smaller of an absolute and a relative one, so that it stays a
+# rounding-level allowance when both values are small.
 _OBB_VS_QCRB_TOL = 1e-12
 _OBB_VS_MMSE_TOL = 1e-10
+_OBB_VS_MMSE_RTOL = 1e-9
 
 
 @dataclass
@@ -321,16 +325,24 @@ def _check_row(command: str, row: tuple) -> tuple:
         axis, qcrb, obb, mmse, _ = row
         if obb > qcrb + _OBB_VS_QCRB_TOL:
             raise InvariantViolation(f"axis={axis}: obb {obb!r} exceeds qcrb {qcrb!r}")
-        if mmse is not None and obb > mmse + _OBB_VS_MMSE_TOL:
+        if mmse is not None and obb > mmse + min(_OBB_VS_MMSE_TOL,
+                                                 _OBB_VS_MMSE_RTOL * mmse):
             raise InvariantViolation(f"axis={axis}: obb {obb!r} exceeds mmse {mmse!r}")
     return row
+
+
+def _check_values(values: dict) -> None:
+    """Every run-level value is finite; raises InvariantViolation otherwise."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise InvariantViolation(f"{name} is {v}")
 
 
 def run_bias_dump(config: RunConfig) -> tuple[list[tuple], dict]:
     """Solved optimal bias next to the MMSE estimator bias at one n."""
     problem, model, n = _measured_point(config)
     report = obb_variational(problem)
-    bias_mmse = mmse_mse(model, problem.prior, n).bias_curve
+    bias_mmse = estimator_bias(model, mmse_mse(model, problem.prior, n).estimates)
     columns = (problem.grid.nodes(), report.bias.values, bias_mmse.values)
     rows = [_check_row("bias", row)
             for row in zip(*(c[::config.stride].tolist() for c in columns))]
@@ -417,11 +429,12 @@ def main(argv: list[str] | None = None) -> int:
         config = build_config(args)
         start = time.perf_counter()
         rows, values = _RUNNERS[args.command](config)
+        _check_values(values)
         wall_ms = (time.perf_counter() - start) * 1e3
         _write(config.out, render_csv(args.command, rows))
         if config.report:
             doc = emit_report(config, args.command, rows, values, wall_ms)
-            _write(config.report, json.dumps(doc, indent=2) + "\n")
+            _write(config.report, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     except InvariantViolation as exc:
         print(f"qbounds: output invariant violated: {exc}", file=sys.stderr)
         return 4

@@ -4,11 +4,12 @@ A binary measurement with per-parameter success probability p1(x), repeated
 n times, is summarized by the count k of 1-outcomes (a sufficient statistic,
 so the outcome space is n+1 values instead of 2^n sequences). The posterior
 mean per k is the MMSE estimate. ``mmse_mse`` is the one MMSE entry point:
-it returns the estimates, their Bayes risk, the estimator bias curve and the
-zero-evidence mask, summing only the banded likelihood blocks.
-``mse_via_decomposition`` recomputes the risk as variance plus squared bias
-over the dense table, as an independent check. Every integral is Simpson
-quadrature on the shared grid. No Monte Carlo anywhere, so every quantity is
+one pass over the banded likelihood blocks returns the estimates, their
+Bayes risk and the zero-evidence mask, holding one block at a time.
+``estimator_bias`` walks the blocks again for the bias curve of given
+estimates. ``mse_via_decomposition`` recomputes the risk as variance plus
+squared bias over the dense table, as an independent check. Every integral
+is Simpson quadrature on the shared grid. No Monte Carlo anywhere, so every quantity is
 deterministic and testable to tight tolerances.
 """
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .numerics import (
 __all__ = [
     "BinaryMeasurementModel",
     "MmseReport",
+    "estimator_bias",
     "likelihood_table",
     "mmse_mse",
     "mse_via_decomposition",
@@ -57,7 +59,6 @@ class MmseReport:
 
     estimates: np.ndarray          # posterior mean per outcome count k
     mse: float                     # Bayes risk of the posterior-mean estimator
-    bias_curve: GridFunction       # E[x_hat | x] - x
     zero_evidence: np.ndarray      # mask: outcome k impossible under the model
 
 
@@ -68,9 +69,11 @@ def likelihood_table(m: BinaryMeasurementModel, n: int) -> np.ndarray:
     return log_binomial_pmf_vector(n, m.p1.values)
 
 
-# Likelihood cells per block (512 KiB, so the kernel's passes over a block
-# stay in cache), counted at the widest column band; a column whose band
-# alone is longer gets its own block.
+# Likelihood cells per block, counted at the widest column band; a column
+# whose band alone is longer gets its own block. Each block is dropped once
+# used, so the budget sets no memory floor: it trades the per-block overhead
+# against keeping the kernel's and the moments' passes over a block (512 KiB
+# here) in cache. 2^17 measured no faster on large_n or sweep.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -104,14 +107,47 @@ def _posterior_means(evidence, first_moment, prior_mean):
     return np.where(zero, prior_mean, first_moment / np.where(zero, 1.0, evidence)), zero
 
 
-def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseReport:
-    """Bayes risk and bias curve of the posterior-mean estimator of x.
+# Rounding costs s2 - s1^2/w about eps * s2 in each row. While a block's
+# spreads keep at least this share of its s2, the block's total spread is
+# good to about eps / _CANCELLATION relative, and the risk is a sum of such
+# totals. Below it (posteriors narrow against their distance from the
+# block's middle node, as on coarse grids) every row that falls below the
+# share is summed again about its own mean.
+_CANCELLATION = 2.0**-6
 
-    mse = \\int p(x) sum_k (x_hat(k) - x)^2 p(k|x) dx, and
-    bias_curve(x) = sum_k x_hat(k) p(k|x) - x. The estimator targets the
-    parameter itself (f(x) = x). Only the banded likelihood blocks are
-    formed, and kept for the second sweep: memory is O(n + kept cells),
-    never the (n+1) x m table. Outcomes with zero evidence (impossible
+
+def _block_spread(block, x, wp, w):
+    """Per row of one likelihood block over nodes x: (mean, spread) of x.
+
+    The row's weights are block * wp, with total w. One product gives the
+    moments s1, s2 of dx = x - c about the block's middle node c; the mean
+    is c + s1/w and the spread sum (x - mean)^2 block wp is s2 - s1^2/w,
+    except where that cancels (see _CANCELLATION).
+    """
+    c = x[x.size // 2]
+    dx = x - c
+    s1, s2 = (block @ np.column_stack([wp * dx, wp * dx * dx])).T
+    d = s1 / np.where(w > 0.0, w, 1.0)
+    spread = s2 - s1 * d
+    if spread.sum() < _CANCELLATION * s2.sum():
+        redo = np.flatnonzero(spread < _CANCELLATION * s2)
+        dev = dx - d[redo, None]
+        spread[redo] = (block[redo] * dev * dev) @ wp
+    return c + d, spread
+
+
+def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseReport:
+    """Bayes risk of the posterior-mean estimator of x, in one pass.
+
+    mse = \\int p(x) sum_k (x_hat(k) - x)^2 p(k|x) dx, summed as the
+    posterior spread of each outcome, sum_k sum_x wp(x) p(k|x) (x - x_hat_k)^2
+    with wp the Simpson weights times the prior density. The estimator
+    targets the parameter itself (f(x) = x). Each banded likelihood block
+    adds to every outcome's evidence, first moment and spread, and is
+    dropped: memory is O(n) outcome arrays plus one block, never the
+    (n+1) x m table. The spreads are merged block by block with the
+    pairwise update of Chan, Golub & LeVeque (1979), so no outcome's spread
+    is taken about a far-off point. Outcomes with zero evidence (impossible
     under the model) get the prior mean as their estimate and carry no
     weight in the risk.
     """
@@ -122,23 +158,38 @@ def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseRepo
     wp = simpson_weights(m.grid.m, m.grid.h) * p
     weights = np.column_stack([wp, wp * x])
     # the O(n) outcome sums come first, so a hopeless n fails before any block
-    moments = np.zeros((n + 1, 2))                      # evidence, first moment
-    blocks = []
+    evidence, first_moment, spread = np.zeros((3, n + 1))
     for cols, k_lo, block in _likelihood_blocks(m, n):
-        moments[k_lo:k_lo + len(block)] += block @ weights[cols]
-        blocks.append((cols, k_lo, block))
-    estimates, zero = _posterior_means(moments[:, 0], moments[:, 1], wp @ x)
-    risk = np.empty(m.grid.m)
-    conditional_mean = np.empty(m.grid.m)               # E[x_hat | x]
-    for cols, k_lo, block in blocks:
-        est = estimates[k_lo:k_lo + len(block)]
-        sq = np.subtract.outer(est, x[cols])
-        sq *= sq
-        risk[cols] = np.einsum("km,km->m", block, sq)
-        conditional_mean[cols] = est @ block
-    mse = float(composite_simpson(p * risk, m.grid.h))
-    bias_curve = GridFunction(m.grid, conditional_mean - x)
-    return MmseReport(estimates, mse, bias_curve, zero)
+        rows = slice(k_lo, k_lo + len(block))
+        part = block @ weights[cols]
+        w, w_run = part[:, 0], evidence[rows]
+        mean, own = _block_spread(block, x[cols], wp[cols], w)
+        # merge (w, mean, own) into the running (w_run, first moment / w_run,
+        # spread); a row seen for the first time (w_run = 0) takes the block's
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = mean - first_moment[rows] / w_run
+            cross = delta * delta * (w_run * w / (w_run + w))
+        spread[rows] += own + np.where(w_run > 0.0, cross, 0.0)
+        evidence[rows] += w
+        first_moment[rows] += part[:, 1]
+    estimates, zero = _posterior_means(evidence, first_moment, wp @ x)
+    return MmseReport(estimates, float(spread.sum()), zero)
+
+
+def estimator_bias(m: BinaryMeasurementModel, estimates: np.ndarray) -> GridFunction:
+    """Bias curve E[x_hat | x] - x of the estimates x_hat(k), k = 0..n.
+
+    A second walk over the banded likelihood blocks of n = len(estimates) - 1
+    repetitions; every cell outside them is 0.
+    """
+    n = len(estimates) - 1
+    if n < 0:
+        raise DomainError("need an estimate for each outcome count k = 0..n")
+    x = m.grid.nodes()
+    conditional_mean = np.empty(m.grid.m)
+    for cols, k_lo, block in _likelihood_blocks(m, n):
+        conditional_mean[cols] = estimates[k_lo:k_lo + len(block)] @ block
+    return GridFunction(m.grid, conditional_mean - x)
 
 
 def mse_via_decomposition(

@@ -269,12 +269,24 @@ class TestFailureExitCodes:
         assert code == 0
         assert len(rows_of(csv_text)[1]) == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_run_value(self, tmp_path, capsys):
+        # the Bayes risk overflows to nan; the report must not carry it
+        code, csv_text, doc = run(
+            tmp_path, "mmse", "--example", "noon", "--n", "1", "--prior", "0:1e300"
+        )
+        assert code == 4
+        assert csv_text is None and doc is None
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("qbounds:") and "mse is nan" in err
+
     @staticmethod
-    def run_under_3gb(argv):
+    def run_under_limit(argv, limit):
         import resource
 
         def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (3_000_000_000, 3_000_000_000))
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
@@ -292,8 +304,9 @@ class TestFailureExitCodes:
         ("mmse", "--example", "dephasing", "--n", "200000"),
     ], ids=["bounds", "mmse"])
     def test_large_n_fits_in_memory(self, argv):
-        # the banded likelihood keeps ~0.5 GB of the 6.4 GB dense table
-        proc = self.run_under_3gb(argv)
+        # one banded block at a time: O(n) outcome arrays plus one block,
+        # where the dense table would be 6.4 GB
+        proc = self.run_under_limit(argv, 400_000_000)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         header, rows = rows_of(proc.stdout)
@@ -308,7 +321,7 @@ class TestFailureExitCodes:
     ], ids=["bounds", "mmse"])
     def test_out_of_memory(self, argv):
         # the O(n) outcome arrays alone need 16 GB; the limit stops them at 3 GB
-        proc = self.run_under_3gb(argv)
+        proc = self.run_under_limit(argv, 3_000_000_000)
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
@@ -489,6 +502,8 @@ class TestOutputContract:
         ("bounds", (1.0, 0.01, 0.005, None, 1e-12)),
         ("bias", (0.25, 0.1, -0.1)),
         ("mmse", (3, 0.2, 1)),
+        # obb above mmse by a rounding-level 1e-15 relative
+        ("bounds", (5.0, 0.2, 0.2 * (1.0 + 1e-15), 0.2, 1e-12)),
     ])
     def test_check_row_passes_finite_row(self, command, row):
         assert _check_row(command, row) is row
@@ -496,6 +511,10 @@ class TestOutputContract:
     @pytest.mark.parametrize("row, message", [
         ((1.0, 0.01, 0.01 + 1e-11, None, 0.0), "obb .* exceeds qcrb"),
         ((1.0, 0.01, 0.005, 0.005 - 1e-9, 0.0), "obb .* exceeds mmse"),
+        # bounds --example noon --n 5000000: the posterior is narrower than the
+        # grid spacing, and mmse is at least 3% low, by less than the absolute 1e-10
+        ((5e6, 2e-9, 1.9995225603146756e-09, 1.9416345168909303e-09, 0.0),
+         "obb .* exceeds mmse"),
     ])
     def test_check_row_orders_bounds(self, row, message):
         with pytest.raises(InvariantViolation, match=message):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from qbounds.core import GridFunction, ParameterGrid, make_uniform_prior
 from qbounds.errors import DomainError
 from qbounds.estimation import (
     BinaryMeasurementModel,
+    estimator_bias,
     mmse_mse,
     likelihood_table,
     mse_via_decomposition,
@@ -168,9 +170,14 @@ class TestMmseMse:
     def test_bias_decays_with_measurements(self):
         problem1, model = noon(1, m=2001)
         problem20, _ = noon(20, m=2001)
-        b1 = mmse_mse(model, problem1.prior, 1).bias_curve
-        b20 = mmse_mse(model, problem20.prior, 20).bias_curve
+        b1 = estimator_bias(model, mmse_mse(model, problem1.prior, 1).estimates)
+        b20 = estimator_bias(model, mmse_mse(model, problem20.prior, 20).estimates)
         assert np.max(np.abs(b20.values)) < np.max(np.abs(b1.values))
+
+    def test_estimator_bias_needs_an_estimate(self):
+        _, model = noon(m=101)
+        with pytest.raises(DomainError, match="estimate for each outcome"):
+            estimator_bias(model, np.empty(0))
 
     @pytest.mark.parametrize("n", [-1, -2])
     def test_negative_repetition_count_rejected(self, n):
@@ -199,8 +206,23 @@ def dense_route(model, prior, n):
     return estimates, zero, evidence, estimates @ like
 
 
+def long_double_risk(model, prior, n):
+    """Bayes risk summed cell by cell over the dense table in long double."""
+    like = likelihood_table(model, n).astype(np.longdouble)
+    x = model.grid.nodes().astype(np.longdouble)
+    wp = simpson_weights(model.grid.m, model.grid.h) * prior.samples.values
+    joint = like * wp.astype(np.longdouble)
+    evidence = joint.sum(axis=1)
+    live = evidence > 0
+    estimates = np.where(live, (joint * x).sum(axis=1) / np.where(live, evidence, 1), 0)
+    return float((joint * (x - estimates[:, None]) ** 2).sum())
+
+
 BUILDERS = {
     "noon": lambda m: noon_model(NoonParams(10), (0.0, A_NOON), m, 1),
+    # p1 = sin^2(20 x) is not monotone on (0, pi/10): every outcome's band
+    # splits into separate runs of columns
+    "noon-40": lambda m: noon_model(NoonParams(40), (0.0, A_NOON), m, 1),
     "dephasing-1.0": lambda m: dephasing_model(DephasingParams.from_eta(1.0),
                                                (0.0, math.pi), m, 1),
     "dephasing-0.8": lambda m: dephasing_model(DephasingParams.from_eta(0.8),
@@ -235,20 +257,52 @@ class TestBandedLikelihood:
         assert np.all(dense[(k < lo) | (k > hi)] == 0.0)
         assert np.all((0 <= lo) & (lo <= hi) & (hi <= n))
 
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def dense_oracle(example, n, m):
+        """(estimates, zero mask, evidence, bias curve, risk) from the dense table."""
+        problem, model = BUILDERS[example](m)
+        estimates, zero, evidence, conditional_mean = dense_route(model, problem.prior, n)
+        return (estimates, zero, evidence, conditional_mean - problem.grid.nodes(),
+                mse_via_decomposition(model, problem.prior, n))
+
+    def assert_matches_dense_route(self, example, n, m):
+        problem, model = BUILDERS[example](m)
+        estimates, zero, evidence, bias, mse = self.dense_oracle(example, n, m)
+        rep = mmse_mse(model, problem.prior, n)
+        np.testing.assert_array_equal(rep.zero_evidence, zero)
+        live = evidence > 1e-280
+        np.testing.assert_allclose(rep.estimates[live], estimates[live], rtol=1e-12, atol=0)
+        assert rep.mse == pytest.approx(mse, rel=1e-12)
+        np.testing.assert_allclose(estimator_bias(model, rep.estimates).values, bias,
+                                   rtol=0, atol=1e-10)
+
     @pytest.mark.parametrize("m", [3, 5, 4001])
     @pytest.mark.parametrize("n", [0, 1, 2, 30, 300, 3000])
     @pytest.mark.parametrize("example", BUILDERS)
     def test_matches_dense_route(self, example, n, m):
+        self.assert_matches_dense_route(example, n, m)
+
+    @pytest.mark.parametrize("m", [3, 5, 4001])
+    @pytest.mark.parametrize("n", [0, 1, 2, 30, 300, 3000])
+    @pytest.mark.parametrize("example", ["noon", "noon-40", "dephasing-0.8", "field"])
+    @pytest.mark.parametrize("budget", ["column", "table"])
+    def test_one_pass_merge_matches_dense_route(self, monkeypatch, budget, example, n, m):
+        # one column per block merges each outcome's spread up to m times;
+        # a budget of the whole table leaves one block and no merge
+        monkeypatch.setattr(estimation, "_BLOCK_CELLS", 1 if budget == "column" else (n + 1) * m)
+        self.assert_matches_dense_route(example, n, m)
+
+    @pytest.mark.parametrize("n, m", [(1, 5), (30, 5), (300, 5), (1, 4001), (30, 4001),
+                                      (300, 4001), (3000, 4001)])
+    @pytest.mark.parametrize("example", ["noon", "noon-40", "dephasing-0.8", "field"])
+    def test_risk_matches_long_double_sum(self, example, n, m):
+        # relative only, so that the tiny risks of grid 5 count: there the
+        # posteriors are narrower than the grid spacing, and a spread taken
+        # about the block's middle node would cancel
         problem, model = BUILDERS[example](m)
-        prior, x = problem.prior, problem.grid.nodes()
-        estimates, zero, evidence, conditional_mean = dense_route(model, prior, n)
-        rep = mmse_mse(model, prior, n)
-        np.testing.assert_array_equal(rep.zero_evidence, zero)
-        live = evidence > 1e-280
-        np.testing.assert_allclose(rep.estimates[live], estimates[live], rtol=1e-12, atol=0)
-        assert rep.mse == pytest.approx(mse_via_decomposition(model, prior, n), rel=1e-12)
-        np.testing.assert_allclose(rep.bias_curve.values, conditional_mean - x,
-                                   rtol=0, atol=1e-10)
+        ref = long_double_risk(model, problem.prior, n)
+        assert mmse_mse(model, problem.prior, n).mse == pytest.approx(ref, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("budget", [None, 1])
     def test_blocks_tile_columns_at_one_width(self, monkeypatch, budget):
@@ -278,6 +332,7 @@ class TestBandedLikelihood:
         problem, model = BUILDERS[example](401)
         prior = problem.prior
         ref = mmse_mse(model, prior, 300)
+        bias_ref = estimator_bias(model, ref.estimates).values
         monkeypatch.setattr(estimation, "_BLOCK_CELLS", budget)
         assert len(list(estimation._likelihood_blocks(model, 300))) > 1
         rep = mmse_mse(model, prior, 300)
@@ -286,5 +341,5 @@ class TestBandedLikelihood:
         np.testing.assert_allclose(rep.estimates[live], ref.estimates[live],
                                    rtol=1e-12, atol=0)
         assert rep.mse == pytest.approx(ref.mse, rel=1e-12)
-        np.testing.assert_allclose(rep.bias_curve.values, ref.bias_curve.values,
+        np.testing.assert_allclose(estimator_bias(model, rep.estimates).values, bias_ref,
                                    rtol=0, atol=1e-12)
