@@ -22,21 +22,14 @@ from .core import (
     ParameterGrid,
     PriorDensity,
     QfiProfile,
-    TargetFunction,
     make_uniform_prior,
 )
 from .errors import (
     ConfigError,
     DomainError,
-    GridMismatch,
-    InvalidGrid,
-    InvalidSupport,
     InvariantViolation,
-    NonPositiveQfi,
     QboundsError,
     SingularSystem,
-    UnnormalizedPrior,
-    UnsupportedExample,
 )
 from .estimation import (
     BinaryMeasurementModel,

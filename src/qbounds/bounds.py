@@ -2,23 +2,24 @@
 
 The OBB is the minimum over bias functions b(x) of
 
-    F[b] = \\int p(x) { [f'(x) + b'(x)]^2 / J(x) + b(x)^2 } dx,
+    F[b] = \\int p(x) { [1 + b'(x)]^2 / J(x) + b(x)^2 } dx,
 
-with J the effective (n-fold) quantum Fisher information. The minimizer is
-solved in flux form: the flux sigma = (p/J)(f' + b') obeys sigma' = p b and
-vanishes at both ends (the natural condition b' = -f'). With sigma at the
-m - 1 cell midpoints, eliminating b leaves the symmetric tridiagonal system
+with J the effective (n-fold) quantum Fisher information; the estimand is
+the parameter x itself. The minimizer is solved in flux form: the flux
+sigma = (p/J)(1 + b') obeys sigma' = p b and vanishes at both ends (the
+natural condition b' = -1). With sigma at the m - 1 cell midpoints,
+eliminating b leaves the symmetric tridiagonal system
 
-    S sigma = Delta f,   S = diag(h q) + G W^-1 G^T,
+    S sigma = Delta x,   S = diag(h q) + G W^-1 G^T,
 
 where q is the midpoint mean of J/p, G the forward difference and W the
 diagonal of cell width (h, or h/2 at the two end nodes) times p. S is
 strictly diagonally dominant by h q, so it stays well conditioned as
-J -> 0, and it needs no derivative of p, J or f. solve_optimal_bias
+J -> 0, and it needs no derivative of p or J. solve_optimal_bias
 rescales it and splits off its diagonal so that the bias is read off
 without cancellation at either end of the information range. For a
-uniform prior, constant J and f(x) = x the solution and the bound are
-closed-form hyperbolics; the variational route must reproduce them, which
+uniform prior and constant J the solution and the bound are closed-form
+hyperbolics; the variational route must reproduce them, which
 is the main cross-check in the test suite.
 """
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_GRID_M, EstimationProblem, GridFunction, ParameterGrid
-from .errors import DomainError, GridMismatch, SingularSystem
+from .core import EstimationProblem, GridFunction, ParameterGrid
+from .errors import DomainError, SingularSystem
 from .numerics import composite_simpson, solve_tridiagonal
 
 __all__ = [
@@ -43,8 +44,9 @@ __all__ = [
     "obb_variational",
 ]
 
-# Residual above this fraction of max|f'| triggers a warning (never an
-# error: Eq-style biased bounds stay valid for any b).
+# A residual above this triggers a warning, not an error. F[b] bounds only
+# the estimators whose bias is b and is never below the OBB, so a poorly
+# solved b can print a "lower bound" above the true OBB.
 RESIDUAL_WARN_TOL = 1e-6
 
 # Below z = _SERIES_Z the direct 1 - tanh(z)/z loses more than 5e-14 relative
@@ -66,40 +68,34 @@ class BoundReport:
     bias: GridFunction | None
     residual: float | None
 
-    def __post_init__(self) -> None:
-        if self.value < 0.0:
-            raise DomainError(f"bound value must be nonnegative, got {self.value}")
-
 
 def bound_functional(
     p: EstimationProblem, b: GridFunction, b_prime: GridFunction
 ) -> float:
     """Evaluate the biased-bound functional F[b] for a candidate bias.
 
-    Any bias gives a valid MSE lower bound; b = 0 reproduces the Bayesian
+    F[b] bounds the MSE of the estimators whose bias is b, and F[b] >= OBB
+    for every b: only the optimal bias bounds every estimator, so a b that
+    misses it gives a value above the OBB. b = 0 reproduces the Bayesian
     QCRB integrand.
     """
     if b.grid != p.grid or b_prime.grid != p.grid:
-        raise GridMismatch("bias samples must live on the problem grid")
-    j_eff = p.qfi.effective()
-    fp = p.target.f_prime.values
+        raise DomainError("bias samples must live on the problem grid")
     integrand = p.prior.samples.values * (
-        (fp + b_prime.values) ** 2 / j_eff + b.values**2
+        (1.0 + b_prime.values) ** 2 / p.qfi.effective() + b.values**2
     )
     return float(composite_simpson(integrand, p.grid.h))
 
 
 def bayesian_qcrb(p: EstimationProblem) -> BoundReport:
     """Bayesian quantum Cramer-Rao bound: the b = 0 member of the family."""
-    integrand = (
-        p.prior.samples.values * p.target.f_prime.values**2 / p.qfi.effective()
-    )
+    integrand = p.prior.samples.values / p.qfi.effective()
     value = float(composite_simpson(integrand, p.grid.h))
     return BoundReport(value, None, None)
 
 
 def optimal_bias_closed_form(j: float, a: float, grid: ParameterGrid) -> GridFunction:
-    """Optimal bias for uniform prior on (0, a), constant effective QFI j, f=x.
+    """Optimal bias for uniform prior on (0, a) and constant effective QFI j.
 
     b(x) = sinh(r(a/2 - x)) / (r cosh(ra/2)) with r = sqrt(j), evaluated as
     sign(a-2x) exp(-r min(x, a-x)) (1 - exp(-r|a-2x|)) / (r (1 + exp(-ra))):
@@ -122,8 +118,8 @@ def obb_closed_form(j_effective: float, a: float) -> BoundReport:
 
     value = 1/J - (2 / (a J^{3/2})) tanh(a sqrt(J) / 2) = (1 - tanh(z)/z) / J
     with z = a sqrt(J) / 2, which tends to the prior variance a^2/12 as
-    a^2 J -> 0 without cancelling against 1/J. The bias is sampled on
-    DEFAULT_GRID_M nodes of [0, a].
+    a^2 J -> 0 without cancelling against 1/J. No bias is attached:
+    optimal_bias_closed_form samples it on a given grid.
     """
     if j_effective <= 0.0 or a <= 0.0:
         raise DomainError(
@@ -134,10 +130,7 @@ def obb_closed_form(j_effective: float, a: float) -> BoundReport:
         deficit = z * z * np.polynomial.polynomial.polyval(z * z, _DEFICIT_SERIES)
     else:
         deficit = 1.0 - np.tanh(z) / z
-    value = deficit / j_effective
-    grid = ParameterGrid(0.0, a, DEFAULT_GRID_M)
-    bias = optimal_bias_closed_form(j_effective, a, grid)
-    return BoundReport(float(value), bias, None)
+    return BoundReport(float(deficit / j_effective), None, None)
 
 
 def _cell_weights(p: EstimationProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -166,21 +159,21 @@ class _SolvedBias(GridFunction):
 def solve_optimal_bias(p: EstimationProblem) -> GridFunction:
     """Solve the optimal-bias problem on the problem grid in flux form.
 
-    S sigma = Delta f (see the module docstring) is solved for y = r sigma
-    with r = sqrt(h q), so the system reads (I + K) y = Delta f / r with
+    S sigma = Delta x (see the module docstring) is solved for y = r sigma
+    with r = sqrt(h q), so the system reads (I + K) y = Delta x / r with
     K = R^-1 G W^-1 G^T R^-1. y is split into the Jacobi guess
-    y0 = (Delta f / r) / (1 + diag K) and a correction t that solves
+    y0 = (Delta x / r) / (1 + diag K) and a correction t that solves
     (I + K) t = -(K - diag K) y0. Then
 
-        Delta(f + b) = h q sigma = r (y0 + t),
+        Delta(x + b) = h q sigma = r (y0 + t),
         Delta b = r (t - diag K y0),
 
-    and neither difference cancels: at small information Delta f is the
+    and neither difference cancels: at small information Delta x is the
     large part of Delta b, at large information both parts of Delta b are
     small. b is Delta b summed from the left, shifted so that sum(w p b) = 0
     (the discrete sigma' = p b summed over the whole support). Its
     derivative() is the five-point derivative of the running sum of
-    Delta(f + b), minus f': at small information that sum is O(J) while b
+    Delta(x + b), minus 1: at small information that sum is O(J) while b
     is not, so it carries none of the rounding noise that differentiating b
     picks up as J -> 0.
     """
@@ -196,8 +189,8 @@ def solve_optimal_bias(p: EstimationProblem) -> GridFunction:
     inv = 1.0 / mass
     off = -(inv[1:-1] / r[:-1]) / r[1:]
     k = (inv[:-1] / r + inv[1:] / r) / r
-    df = np.diff(p.target.f.values)
-    y0 = df / r / (1.0 + k)
+    # the node differences, not h: they carry the rounding of the nodes
+    y0 = np.diff(grid.nodes()) / r / (1.0 + k)
     rhs = np.zeros_like(y0)
     rhs[:-1] -= off * y0[1:]
     rhs[1:] -= off * y0[:-1]
@@ -205,16 +198,13 @@ def solve_optimal_bias(p: EstimationProblem) -> GridFunction:
     b = np.concatenate(([0.0], np.cumsum(r * (t - k * y0))))
     b -= (mass @ b) / mass.sum()
     running = GridFunction(grid, np.concatenate(([0.0], np.cumsum(r * (y0 + t)))))
-    slope = GridFunction(grid, running.derivative().values - p.target.f_prime.values)
-    bias = _SolvedBias(grid, b, slope)
+    bias = _SolvedBias(grid, b, GridFunction(grid, running.derivative().values - 1.0))
 
     residual = bias_ode_residual(p, bias)
-    scale = float(np.max(np.abs(p.target.f_prime.values)))
-    if scale > 0.0 and residual > RESIDUAL_WARN_TOL * scale:
+    if residual > RESIDUAL_WARN_TOL:
         warnings.warn(
-            f"optimal-bias residual {residual:.3e} exceeds "
-            f"{RESIDUAL_WARN_TOL:.0e} of max|f'| {scale:.3e}; the bound stays "
-            "valid but may be loose",
+            f"optimal-bias residual {residual:.3e} exceeds {RESIDUAL_WARN_TOL:.0e}; "
+            "the bound may lie above the optimal biased bound",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -225,14 +215,14 @@ def bias_ode_residual(p: EstimationProblem, b: GridFunction) -> float:
     """Max flux-form Euler-Lagrange residual of a candidate bias.
 
     The flux sigma comes from sigma' = p b, summed from the left edge. The
-    residual, in units of f', is Delta(f + b)/h - q sigma at the m - 1
-    midpoints and q sigma at the right edge, where the flux must vanish.
+    residual is Delta(x + b)/h - q sigma at the m - 1 midpoints and q sigma
+    at the right edge, where the flux must vanish.
     """
     if b.grid != p.grid:
-        raise GridMismatch("bias must live on the problem grid")
+        raise DomainError("bias must live on the problem grid")
     mass, q = _cell_weights(p)
     flux = np.cumsum(mass * b.values)
-    slope = (np.diff(p.target.f.values) + np.diff(b.values)) / p.grid.h
+    slope = (np.diff(p.grid.nodes()) + np.diff(b.values)) / p.grid.h
     r = np.append(slope - q * flux[:-1], q[-1] * flux[-1])
     return float(np.max(np.abs(r)))
 

@@ -38,13 +38,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .bounds import bayesian_qcrb, obb_variational
 from .core import DEFAULT_GRID_M
-from .errors import (
-    ConfigError,
-    InvariantViolation,
-    QboundsError,
-    SingularSystem,
-    UnsupportedExample,
-)
+from .errors import ConfigError, InvariantViolation, QboundsError, SingularSystem
 from .estimation import estimator_bias, mmse_mse
 from .models import (
     DephasingParams,
@@ -283,7 +277,7 @@ def _measured_point(config: RunConfig):
         config.example, config.params, config.prior, config.grid_points, max(n, 1)
     )
     if model is None:
-        raise UnsupportedExample(f"the {config.example} example has no measurement model")
+        raise ConfigError(f"the {config.example} example has no measurement model")
     return problem, model, n
 
 

@@ -1,9 +1,9 @@
 """Shared parameter grid and the estimation-problem data model.
 
-All bounds and estimators consume an EstimationProblem: a prior density, a
-target function with analytic derivatives, and a (possibly x-dependent) QFI
-profile, all sampled on one uniform grid. Types are frozen dataclasses and
-safe to share across threads.
+All bounds and estimators consume an EstimationProblem: a prior density and
+a (possibly x-dependent) QFI profile, both sampled on one uniform grid. The
+estimand is the parameter x itself. Types are frozen dataclasses and safe
+to share across threads.
 """
 from __future__ import annotations
 
@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GridMismatch,
-    InvalidGrid,
-    InvalidSupport,
-    NonPositiveQfi,
-    UnnormalizedPrior,
-)
+from .errors import DomainError
 from .numerics import composite_simpson
 
 __all__ = [
@@ -25,7 +19,6 @@ __all__ = [
     "ParameterGrid",
     "GridFunction",
     "PriorDensity",
-    "TargetFunction",
     "QfiProfile",
     "EstimationProblem",
     "make_uniform_prior",
@@ -48,9 +41,9 @@ class ParameterGrid:
 
     def __post_init__(self) -> None:
         if not self.a2 > self.a1:
-            raise InvalidSupport(f"need a2 > a1, got ({self.a1}, {self.a2})")
+            raise DomainError(f"need a2 > a1, got ({self.a1}, {self.a2})")
         if self.m < 3 or self.m % 2 == 0:
-            raise InvalidGrid(f"need odd m >= 3 (Simpson panels), got m={self.m}")
+            raise DomainError(f"need odd m >= 3 (Simpson panels), got m={self.m}")
 
     @property
     def h(self) -> float:
@@ -63,7 +56,7 @@ class ParameterGrid:
 def _as_readonly(values, m: int) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.shape[0] != m:
-        raise GridMismatch(f"expected {m} samples, got shape {arr.shape}")
+        raise DomainError(f"expected {m} samples, got shape {arr.shape}")
     arr.flags.writeable = False
     return arr
 
@@ -89,7 +82,7 @@ class GridFunction:
         """
         v, h = self.values, self.grid.h
         if self.grid.m < 5:
-            raise InvalidGrid(
+            raise DomainError(
                 f"the five-point derivative needs m >= 5, got m={self.grid.m}")
         d = np.empty_like(v)
         d[2:-2] = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
@@ -110,40 +103,14 @@ class PriorDensity:
         v = self.samples.values
         # written so that nan samples and a nan total fail the test
         if not (v.min() >= 0.0 and v.max() < np.inf):
-            raise UnnormalizedPrior("prior density has negative or non-finite samples")
+            raise DomainError("prior density has negative or non-finite samples")
         total = float(composite_simpson(v, self.samples.grid.h))
         if not abs(total - 1.0) <= _PRIOR_NORM_TOL:
-            raise UnnormalizedPrior(f"prior integrates to {total!r}, not 1")
+            raise DomainError(f"prior integrates to {total!r}, not 1")
 
     @property
     def grid(self) -> ParameterGrid:
         return self.samples.grid
-
-
-@dataclass(frozen=True)
-class TargetFunction:
-    """Target f(x) with its analytic first derivative."""
-
-    f: GridFunction
-    f_prime: GridFunction
-
-    def __post_init__(self) -> None:
-        if self.f_prime.grid != self.f.grid:
-            raise GridMismatch(f"grids differ: {self.f_prime.grid} vs {self.f.grid}")
-
-    @classmethod
-    def identity(cls, grid: ParameterGrid) -> "TargetFunction":
-        """f(x) = x with its exact derivative."""
-        return cls(GridFunction(grid, grid.nodes()), GridFunction(grid, np.ones(grid.m)))
-
-    @classmethod
-    def from_samples(cls, f: GridFunction) -> "TargetFunction":
-        """Finite-difference derivative for user-supplied targets."""
-        return cls(f, f.derivative())
-
-    @property
-    def grid(self) -> ParameterGrid:
-        return self.f.grid
 
 
 @dataclass(frozen=True)
@@ -158,15 +125,13 @@ class QfiProfile:
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
-            raise NonPositiveQfi(f"repetitions must be >= 1, got {self.repetitions}")
+            raise DomainError(f"repetitions must be >= 1, got {self.repetitions}")
         v = self.j_base.values
         if not (v.min() > 0.0 and v.max() < np.inf):
-            raise NonPositiveQfi("QFI must be finite and strictly positive on the grid")
+            raise DomainError("QFI must be finite and strictly positive on the grid")
 
     @classmethod
     def constant(cls, grid: ParameterGrid, j: float, repetitions: int = 1) -> "QfiProfile":
-        if j <= 0.0:
-            raise NonPositiveQfi(f"constant QFI must be positive, got {j}")
         return cls(GridFunction(grid, np.full(grid.m, float(j))), repetitions)
 
     @property
@@ -180,16 +145,14 @@ class QfiProfile:
 
 @dataclass(frozen=True)
 class EstimationProblem:
-    """Bundle of prior, target, and QFI sharing one grid."""
+    """Prior and QFI sharing one grid."""
 
     prior: PriorDensity
-    target: TargetFunction
     qfi: QfiProfile
 
     def __post_init__(self) -> None:
-        grid = self.prior.grid
-        if self.target.grid != grid or self.qfi.grid != grid:
-            raise GridMismatch("prior, target, and QFI must share one grid")
+        if self.qfi.grid != self.prior.grid:
+            raise DomainError("prior and QFI must share one grid")
 
     @property
     def grid(self) -> ParameterGrid:

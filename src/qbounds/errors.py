@@ -10,28 +10,8 @@ class QboundsError(Exception):
     """Base class for all qbounds errors."""
 
 
-class InvalidGrid(QboundsError):
-    """Grid has an even node count, too few nodes, or inconsistent spacing."""
-
-
-class InvalidSupport(QboundsError):
-    """Support interval is empty or reversed (a2 <= a1)."""
-
-
-class GridMismatch(QboundsError):
-    """Two grid functions that must share a grid do not."""
-
-
-class UnnormalizedPrior(QboundsError):
-    """Prior samples are negative or non-finite, or do not integrate to 1."""
-
-
-class NonPositiveQfi(QboundsError):
-    """QFI profile is not finite and strictly positive on the grid."""
-
-
 class DomainError(QboundsError):
-    """Scalar argument outside its mathematical domain."""
+    """Input outside its domain: a bad grid, support, prior, QFI or scalar."""
 
 
 class SingularSystem(QboundsError):
@@ -39,11 +19,7 @@ class SingularSystem(QboundsError):
 
 
 class ConfigError(QboundsError):
-    """CLI / run configuration is invalid."""
-
-
-class UnsupportedExample(QboundsError):
-    """Requested operation is undefined for the chosen example model."""
+    """CLI / run configuration is invalid, or asks an example for what it lacks."""
 
 
 class InvariantViolation(QboundsError):

@@ -8,9 +8,10 @@ one pass over the banded likelihood blocks returns the estimates, their
 Bayes risk and the zero-evidence mask, holding one block at a time.
 ``estimator_bias`` walks the blocks again for the bias curve of given
 estimates. ``mse_via_decomposition`` recomputes the risk as variance plus
-squared bias over the dense table, as an independent check. Every integral
-is Simpson quadrature on the shared grid. No Monte Carlo anywhere, so every quantity is
-deterministic and testable to tight tolerances.
+squared bias over the dense (n+1) x m likelihood table, as an independent
+check. Every integral is Simpson quadrature on the shared grid. No Monte
+Carlo anywhere, so every quantity is deterministic and testable to tight
+tolerances.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GridFunction, ParameterGrid, PriorDensity
-from .errors import DomainError, GridMismatch
+from .errors import DomainError
 from .numerics import (
     binomial_band,
     composite_simpson,
@@ -31,7 +32,6 @@ __all__ = [
     "BinaryMeasurementModel",
     "MmseReport",
     "estimator_bias",
-    "likelihood_table",
     "mmse_mse",
     "mse_via_decomposition",
 ]
@@ -62,13 +62,6 @@ class MmseReport:
     zero_evidence: np.ndarray      # mask: outcome k impossible under the model
 
 
-def likelihood_table(m: BinaryMeasurementModel, n: int) -> np.ndarray:
-    """Dense binomial likelihood p(k|x) on the grid; shape (n+1, grid.m)."""
-    if n < 0:
-        raise DomainError(f"repetition count must be >= 0, got {n}")
-    return log_binomial_pmf_vector(n, m.p1.values)
-
-
 # Likelihood cells per block, counted at the widest column band; a column
 # whose band alone is longer gets its own block. Each block is dropped once
 # used, so the budget sets no memory floor: it trades the per-block overhead
@@ -84,7 +77,7 @@ def _likelihood_blocks(m: BinaryMeasurementModel, n: int):
     with rows the length of the widest binomial_band (the last chunk may be
     narrower); each block holds rows k_lo..k_lo + len(block) - 1 of its
     columns, the union of their bands. Every cell outside the blocks is
-    exactly 0.0 in likelihood_table.
+    exactly 0.0 in the dense table log_binomial_pmf_vector(n, p1).
     """
     p1 = m.p1.values
     lo, hi = binomial_band(n, p1)
@@ -95,9 +88,11 @@ def _likelihood_blocks(m: BinaryMeasurementModel, n: int):
         yield cols, k_lo, log_binomial_pmf_vector(n, p1[cols], k_lo, k_hi)
 
 
-def _check_shared_grid(m: BinaryMeasurementModel, prior: PriorDensity) -> None:
+def _check_inputs(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> None:
+    if n < 0:
+        raise DomainError(f"repetition count must be >= 0, got {n}")
     if m.grid != prior.grid:
-        raise GridMismatch("measurement model and prior must share one grid")
+        raise DomainError("measurement model and prior must share one grid")
 
 
 def _posterior_means(evidence, first_moment, prior_mean):
@@ -141,8 +136,8 @@ def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseRepo
 
     mse = \\int p(x) sum_k (x_hat(k) - x)^2 p(k|x) dx, summed as the
     posterior spread of each outcome, sum_k sum_x wp(x) p(k|x) (x - x_hat_k)^2
-    with wp the Simpson weights times the prior density. The estimator
-    targets the parameter itself (f(x) = x). Each banded likelihood block
+    with wp the Simpson weights times the prior density; the estimand is
+    the parameter x itself. Each banded likelihood block
     adds to every outcome's evidence, first moment and spread, and is
     dropped: memory is O(n) outcome arrays plus one block, never the
     (n+1) x m table. The spreads are merged block by block with the
@@ -151,9 +146,7 @@ def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseRepo
     under the model) get the prior mean as their estimate and carry no
     weight in the risk.
     """
-    if n < 0:
-        raise DomainError(f"repetition count must be >= 0, got {n}")
-    _check_shared_grid(m, prior)
+    _check_inputs(m, prior, n)
     x, p = m.grid.nodes(), prior.samples.values
     wp = simpson_weights(m.grid.m, m.grid.h) * p
     weights = np.column_stack([wp, wp * x])
@@ -200,10 +193,10 @@ def mse_via_decomposition(
     \\int p(x) [ Var(x_hat | x) + bias(x)^2 ] dx over the dense likelihood
     table; independent route used to cross-check mmse_mse.
     """
-    _check_shared_grid(m, prior)
+    _check_inputs(m, prior, n)
     x, p = m.grid.nodes(), prior.samples.values
     wp = simpson_weights(m.grid.m, m.grid.h) * p
-    like = likelihood_table(m, n)                       # (n+1, m)
+    like = log_binomial_pmf_vector(n, m.p1.values)      # (n+1, m)
     estimates, _ = _posterior_means(like @ wp, like @ (wp * x), wp @ x)
     conditional_mean = estimates @ like
     dev = (estimates[:, None] - conditional_mean[None, :]) ** 2

@@ -22,14 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    EstimationProblem,
-    GridFunction,
-    ParameterGrid,
-    QfiProfile,
-    TargetFunction,
-    make_uniform_prior,
-)
+from .core import EstimationProblem, GridFunction, QfiProfile, make_uniform_prior
 from .errors import DomainError
 from .estimation import BinaryMeasurementModel
 
@@ -104,15 +97,19 @@ class FieldParams:
             raise DomainError("sin(B/2) = 0 makes the QFI vanish identically")
 
 
-def _uniform_problem(
-    prior_support: tuple[float, float],
-    m: int,
-    qfi: QfiProfile,
-) -> EstimationProblem:
-    a1, a2 = prior_support
-    prior = make_uniform_prior(a1, a2, m)
-    target = TargetFunction.identity(prior.grid)
-    return EstimationProblem(prior, target, qfi)
+def _uniform_model(support, m: int, n: int, j, p1=None):
+    """(problem, measurement model or None) under a uniform prior on support.
+
+    j(x) and p1(x) give the single-shot QFI (a scalar for a constant one)
+    and the probability of outcome 1 at the grid nodes x. Without p1 there
+    is no measurement model.
+    """
+    prior = make_uniform_prior(support[0], support[1], m)
+    grid = prior.grid
+    x = grid.nodes()
+    qfi = QfiProfile(GridFunction(grid, np.broadcast_to(j(x), x.shape)), n)
+    model = None if p1 is None else BinaryMeasurementModel(GridFunction(grid, p1(x)))
+    return EstimationProblem(prior, qfi), model
 
 
 def noon_model(
@@ -122,13 +119,10 @@ def noon_model(
     n: int = 1,
 ) -> tuple[EstimationProblem, BinaryMeasurementModel]:
     """NOON-state phase estimation: constant QFI N^2, p1 = sin^2(Nx/2)."""
-    grid = ParameterGrid(prior_support[0], prior_support[1], m)
+    N = params.N
     # N * N is inf where N ** 2 raises OverflowError; QfiProfile rejects inf
-    qfi = QfiProfile.constant(grid, float(params.N) * float(params.N), n)
-    problem = _uniform_problem(prior_support, m, qfi)
-    p1 = np.sin(params.N * grid.nodes() / 2.0) ** 2
-    model = BinaryMeasurementModel(GridFunction(grid, p1))
-    return problem, model
+    return _uniform_model(prior_support, m, n, lambda x: float(N) * float(N),
+                          lambda x: np.sin(N * x / 2.0) ** 2)
 
 
 def dephasing_model(
@@ -141,12 +135,8 @@ def dephasing_model(
     eta = params.eta
     if eta <= 0.0:
         raise DomainError(f"eta must be positive, got {eta}")
-    grid = ParameterGrid(prior_support[0], prior_support[1], m)
-    qfi = QfiProfile.constant(grid, eta**2, n)
-    problem = _uniform_problem(prior_support, m, qfi)
-    p1 = (1.0 - eta * np.cos(grid.nodes())) / 2.0
-    model = BinaryMeasurementModel(GridFunction(grid, p1))
-    return problem, model
+    return _uniform_model(prior_support, m, n, lambda x: eta**2,
+                          lambda x: (1.0 - eta * np.cos(x)) / 2.0)
 
 
 def _solve_alpha_sq(n_b: float) -> float:
@@ -195,11 +185,10 @@ def interferometer_problem(
     No measurement model is attached: the outcome law of a |11> projection
     has no closed form here, so only the bound pipeline applies.
     """
-    grid = ParameterGrid(prior_support[0], prior_support[1], m)
     j = interferometer_qfi(params)
     if j <= 0.0:
         raise DomainError("interferometer QFI vanishes for these photon numbers")
-    return _uniform_problem(prior_support, m, QfiProfile.constant(grid, j, n))
+    return _uniform_model(prior_support, m, n, lambda x: j)[0]
 
 
 def field_model(
@@ -213,13 +202,8 @@ def field_model(
     J(x) = 4 s^2 (1 - c^2 sin^2 x) with s = sin(B/2), c = cos(B/2);
     p1(x) = s^2 sin^2 x.
     """
-    grid = ParameterGrid(prior_support[0], prior_support[1], m)
-    x = grid.nodes()
     s2 = math.sin(params.B / 2.0) ** 2
     c2 = math.cos(params.B / 2.0) ** 2
-    j = 4.0 * s2 * (1.0 - c2 * np.sin(x) ** 2)
-    qfi = QfiProfile(GridFunction(grid, j), n)
-    problem = _uniform_problem(prior_support, m, qfi)
-    p1 = s2 * np.sin(x) ** 2
-    model = BinaryMeasurementModel(GridFunction(grid, p1))
-    return problem, model
+    return _uniform_model(prior_support, m, n,
+                          lambda x: 4.0 * s2 * (1.0 - c2 * np.sin(x) ** 2),
+                          lambda x: s2 * np.sin(x) ** 2)

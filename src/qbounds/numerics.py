@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import gammaln, xlogy
 
-from .errors import DomainError, InvalidGrid, SingularSystem
+from .errors import DomainError, SingularSystem
 
 __all__ = [
     "simpson_weights",
@@ -31,7 +31,7 @@ def simpson_weights(m: int, h: float) -> np.ndarray:
     sum is exact for cubics on each panel pair.
     """
     if m < 3 or m % 2 == 0:
-        raise InvalidGrid(f"Simpson rule needs an odd sample count >= 3, got {m}")
+        raise DomainError(f"Simpson rule needs an odd sample count >= 3, got {m}")
     w = np.full(m, 2.0)
     w[1::2] = 4.0
     w[[0, -1]] = 1.0

@@ -17,7 +17,7 @@ from qbounds.bounds import (
     obb_variational,
     solve_optimal_bias,
 )
-from qbounds.core import EstimationProblem, GridFunction, QfiProfile, TargetFunction, make_uniform_prior
+from qbounds.core import EstimationProblem, GridFunction, QfiProfile, make_uniform_prior
 from qbounds.estimation import estimator_bias, mmse_mse, mse_via_decomposition
 from qbounds.models import (
     DephasingParams,
@@ -36,10 +36,7 @@ A_NOON = math.pi / 10.0
 
 def constant_problem(j, a, m=M, n=1):
     prior = make_uniform_prior(0.0, a, m)
-    grid = prior.grid
-    return EstimationProblem(
-        prior, TargetFunction.identity(grid), QfiProfile.constant(grid, j, n)
-    )
+    return EstimationProblem(prior, QfiProfile.constant(prior.grid, j, n))
 
 
 def report(cid, text):

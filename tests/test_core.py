@@ -9,16 +9,9 @@ from qbounds.core import (
     ParameterGrid,
     PriorDensity,
     QfiProfile,
-    TargetFunction,
     make_uniform_prior,
 )
-from qbounds.errors import (
-    GridMismatch,
-    InvalidGrid,
-    InvalidSupport,
-    NonPositiveQfi,
-    UnnormalizedPrior,
-)
+from qbounds.errors import DomainError
 from qbounds.numerics import composite_simpson
 
 
@@ -31,12 +24,12 @@ class TestParameterGrid:
         assert x[-1] == pytest.approx(1.75, abs=np.finfo(float).eps * 2)
 
     def test_reversed_support(self):
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(DomainError, match="a2 > a1"):
             ParameterGrid(1.0, 1.0, 11)
 
     @pytest.mark.parametrize("m", [2, 4, 1000, 1])
     def test_bad_node_counts(self, m):
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(DomainError, match="odd m"):
             ParameterGrid(0.0, 1.0, m)
 
 
@@ -55,14 +48,14 @@ class TestUniformPrior:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_inputs(self):
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(DomainError, match="a2 > a1"):
             make_uniform_prior(1.0, 0.0, 11)
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(DomainError, match="odd m"):
             make_uniform_prior(0.0, 1.0, 4)
 
     def test_scaled_prior_rejected(self):
         grid = ParameterGrid(0.0, 1.0, 11)
-        with pytest.raises(UnnormalizedPrior):
+        with pytest.raises(DomainError, match="integrates to"):
             PriorDensity(GridFunction(grid, 2.0 * np.ones(11)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -71,34 +64,21 @@ class TestUniformPrior:
         grid = ParameterGrid(0.0, 1.0, 11)
         v = np.ones(11)
         v[5] = bad
-        with pytest.raises(UnnormalizedPrior):
+        with pytest.raises(DomainError, match="non-finite samples"):
             PriorDensity(GridFunction(grid, v))
 
 
-class TestTargetFunction:
-    def test_identity_exact(self):
-        grid = ParameterGrid(0.0, 2.0, 41)
-        t = TargetFunction.identity(grid)
-        np.testing.assert_array_equal(t.f.values, grid.nodes())
-        np.testing.assert_array_equal(t.f_prime.values, 1.0)
-
+class TestGridDerivative:
     def test_finite_difference_fallback(self):
         grid = ParameterGrid(0.0, 1.0, 2001)
-        t = TargetFunction.from_samples(
-            GridFunction(grid, grid.nodes() ** 3)
-        )
         x = grid.nodes()
-        np.testing.assert_allclose(t.f_prime.values, 3 * x**2, atol=1e-5)
+        derivative = GridFunction(grid, x**3).derivative()
+        np.testing.assert_allclose(derivative.values, 3 * x**2, atol=1e-5)
 
     def test_derivative_needs_five_nodes(self):
         grid = ParameterGrid(0.0, 1.0, 3)
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(DomainError, match="m >= 5"):
             GridFunction(grid, grid.nodes()).derivative()
-
-    def test_mixed_grids_rejected(self):
-        g1, g2 = ParameterGrid(0.0, 1.0, 11), ParameterGrid(0.0, 1.0, 13)
-        with pytest.raises(GridMismatch):
-            TargetFunction(GridFunction(g1, g1.nodes()), GridFunction(g2, np.ones(13)))
 
 
 class TestValidateProblem:
@@ -106,7 +86,7 @@ class TestValidateProblem:
         grid = ParameterGrid(0.0, 1.0, 11)
         j = np.ones(11)
         j[5] = 0.0
-        with pytest.raises(NonPositiveQfi):
+        with pytest.raises(DomainError, match="strictly positive"):
             QfiProfile(GridFunction(grid, j), 1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -114,17 +94,13 @@ class TestValidateProblem:
         grid = ParameterGrid(0.0, 1.0, 11)
         j = np.ones(11)
         j[5] = bad
-        with pytest.raises(NonPositiveQfi):
+        with pytest.raises(DomainError, match="finite"):
             QfiProfile(GridFunction(grid, j), 1)
-        with pytest.raises(NonPositiveQfi):
+        with pytest.raises(DomainError, match="finite"):
             QfiProfile.constant(grid, bad)
 
     def test_grid_mismatch(self):
         prior = make_uniform_prior(0.0, 1.0, 11)
         other = ParameterGrid(0.0, 1.0, 13)
-        with pytest.raises(GridMismatch):
-            EstimationProblem(
-                prior,
-                TargetFunction.identity(other),
-                QfiProfile.constant(other, 1.0),
-            )
+        with pytest.raises(DomainError, match="share one grid"):
+            EstimationProblem(prior, QfiProfile.constant(other, 1.0))

@@ -15,7 +15,6 @@ from qbounds.estimation import (
     BinaryMeasurementModel,
     estimator_bias,
     mmse_mse,
-    likelihood_table,
     mse_via_decomposition,
 )
 from qbounds.models import (
@@ -42,23 +41,25 @@ class TestOutcomePmf:
         problem, model = noon(m=4001)
         mid = 2000
         assert problem.grid.nodes()[mid] == pytest.approx(math.pi / 20.0, abs=1e-14)
-        probs = likelihood_table(model, 2)[:, mid]
+        probs = log_binomial_pmf_vector(2, model.p1.values)[:, mid]
         np.testing.assert_allclose(probs, [0.25, 0.5, 0.25], atol=1e-12)
 
     def test_deterministic_outcome(self):
         _, model = dephasing_model(DephasingParams(0.0), (0.0, math.pi), 401, 1)
-        probs = likelihood_table(model, 6)[:, 0]  # p1(0) = (1 - cos 0)/2 = 0
+        # p1(0) = (1 - cos 0)/2 = 0
+        probs = log_binomial_pmf_vector(6, model.p1.values)[:, 0]
         expected = np.zeros(7)
         expected[0] = 1.0
         np.testing.assert_array_equal(probs, expected)
 
     def test_empty_record(self):
         _, model = noon()
-        np.testing.assert_array_equal(likelihood_table(model, 0)[:, 10], [1.0])
+        probs = log_binomial_pmf_vector(0, model.p1.values)[:, 10]
+        np.testing.assert_array_equal(probs, [1.0])
 
     def test_probs_sum_to_one(self):
         _, model = field_model(FieldParams(math.pi / 2), (0.0, math.pi / 2), 801, 1)
-        table = likelihood_table(model, 25)
+        table = log_binomial_pmf_vector(25, model.p1.values)
         for idx in (0, 123, 800):
             assert table[:, idx].sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -199,7 +200,7 @@ def dense_route(model, prior, n):
     """(estimates, zero-evidence mask, evidence, E[x_hat | x]) from the full table."""
     x = model.grid.nodes()
     wp = simpson_weights(model.grid.m, model.grid.h) * prior.samples.values
-    like = likelihood_table(model, n)
+    like = log_binomial_pmf_vector(n, model.p1.values)
     evidence = like @ wp
     zero = evidence <= 0.0
     estimates = np.where(zero, wp @ x, (like @ (wp * x)) / np.where(zero, 1.0, evidence))
@@ -208,7 +209,7 @@ def dense_route(model, prior, n):
 
 def long_double_risk(model, prior, n):
     """Bayes risk summed cell by cell over the dense table in long double."""
-    like = likelihood_table(model, n).astype(np.longdouble)
+    like = log_binomial_pmf_vector(n, model.p1.values).astype(np.longdouble)
     x = model.grid.nodes().astype(np.longdouble)
     wp = simpson_weights(model.grid.m, model.grid.h) * prior.samples.values
     joint = like * wp.astype(np.longdouble)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from qbounds.core import ParameterGrid
-from qbounds.errors import DomainError, InvalidGrid, SingularSystem
+from qbounds.errors import DomainError, SingularSystem
 from qbounds.numerics import (
     composite_simpson,
     log_binomial_pmf_vector,
@@ -36,9 +36,9 @@ class TestSimpson:
         assert ratio == pytest.approx(16.0, rel=0.05)
 
     def test_even_sample_count_rejected(self):
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(DomainError, match="odd sample count"):
             composite_simpson(np.ones(10), 0.1)
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(DomainError, match="odd sample count"):
             simpson_weights(1, 0.1)
 
     def test_weights_match_panel_sums(self):
