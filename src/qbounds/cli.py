@@ -249,6 +249,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                      else file_cfg.get("stride", 1), "stride", integral=True)
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
+    if args.command != "bias" and stride != 1:
+        raise ConfigError(f"the {args.command} command takes no stride, got {stride}")
 
     return RunConfig(
         example=example,

@@ -4,14 +4,20 @@ Composite Simpson quadrature, a LAPACK LDL^T factorization (pttrf/pttrs)
 of symmetric positive definite tridiagonal systems, and log-domain binomial
 probabilities. Everything here works on plain arrays; grid-aware wrappers
 live where the grid types do.
+
+dpttrf/dpttrs come from scipy's compiled ``_flapack`` extension, loaded by file
+without importing ``scipy.linalg``, which would more than double the start-up
+of every CLI run; scipy is still required, since the extension ships with it.
 """
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import math
+import os
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.special import gammaln, xlogy
 
 from .errors import DomainError, SingularSystem
 
@@ -22,6 +28,21 @@ __all__ = [
     "log_binomial_pmf_vector",
     "binomial_band",
 ]
+
+
+def _load_lapack():
+    """dpttrf, dpttrs from scipy's _flapack file, else from scipy.linalg.lapack."""
+    linalg_dir = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", [linalg_dir])
+    if spec is None:  # scipy laid out otherwise: the same routines, slower to import
+        from scipy.linalg.lapack import dpttrf, dpttrs
+        return dpttrf, dpttrs
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dpttrf, module.dpttrs
+
+
+dpttrf, dpttrs = _load_lapack()
 
 
 def simpson_weights(m: int, h: float) -> np.ndarray:
@@ -69,8 +90,8 @@ _LOG_UNDERFLOW = -745.2
 @functools.lru_cache(maxsize=1)
 def _log_binomial_coefficients(n: int) -> np.ndarray:
     """log C(n, k) for k = 0..n, kept for the blocks of one table."""
-    k = np.arange(n + 1, dtype=float)
-    out = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)  # log k!
+    out = log_fact[n] - log_fact - log_fact[::-1]
     out.flags.writeable = False
     return out
 
@@ -112,6 +133,12 @@ def log_binomial_pmf_vector(
     return np.exp(out, out=out)
 
 
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x log y, and 0 where x == 0 (scipy.special.xlogy for y >= 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
+
+
 def binomial_band(n: int, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per column, the first and last k whose probability may be nonzero.
 
@@ -137,8 +164,8 @@ def binomial_band(n: int, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         while np.any(good - bad > 1):
             mid = (bad + good) // 2
             j = mid.astype(float)
-            ok = (j >= mean) | (xlogy(j, mean) - xlogy(j, j) + xlogy(n - j, rest)
-                                - xlogy(n - j, n - j) > _LOG_UNDERFLOW)
+            ok = (j >= mean) | (_xlogy(j, mean) - _xlogy(j, j) + _xlogy(n - j, rest)
+                                - _xlogy(n - j, n - j) > _LOG_UNDERFLOW)
             good = np.where(ok, mid, good)
             bad = np.where(ok, bad, mid)
         k[cols] = good

@@ -180,6 +180,19 @@ class TestMmseCommand:
         estimates = [float(r[1]) for r in rows]
         assert estimates == sorted(estimates)
 
+    def test_report_round_trip(self, tmp_path):
+        # the echo holds "stride": 1, the one stride mmse accepts
+        code, csv_text, doc = run(
+            tmp_path, "mmse", "--example", "dephasing", "--n", "3", *GRID
+        )
+        assert code == 0
+        assert doc["config"]["stride"] == 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code2, csv2, _ = run(tmp_path, "mmse", "--config", str(cfg))
+        assert code2 == 0
+        assert csv2 == csv_text
+
 
 class TestConfigErrors:
     def test_empty_n_range(self, tmp_path):
@@ -365,6 +378,11 @@ class TestParameterChecks:
                          id="fractional-n"),
             pytest.param(("bias", "--example", "noon", "--n", "1", "--stride", "2.5"),
                          None, id="fractional-stride"),
+            # only bias thins its rows; bounds and mmse printed every row
+            pytest.param(("mmse", "--example", "dephasing", "--n", "3", "--stride", "2"),
+                         None, id="mmse-stride"),
+            pytest.param(("bounds", "--example", "noon", "--n-range", "1:3", "--stride", "2"),
+                         None, id="bounds-stride"),
             pytest.param(("bounds",), {"example": "noon", "n_list": [1.5, 2.7]},
                          id="config-fractional-n_list"),
             pytest.param(("bounds", "--n", "1"),

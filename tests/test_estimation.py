@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp, xlogy
 
-from qbounds import estimation
+from qbounds import estimation, numerics
 from qbounds.bounds import obb_variational
 from qbounds.core import GridFunction, ParameterGrid, make_uniform_prior
 from qbounds.errors import DomainError
@@ -233,6 +233,37 @@ BUILDERS = {
 # p = 0, 1, 1/2, the smallest subnormal and normal, and values next to them
 SPECIAL_P = [0.0, 1.0, 0.5, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
              1e-20, 1.0 - 2.0**-53, 1.0 - 1e-16, 0.5 - 2.0**-54, 0.5 + 2.0**-53]
+
+
+class TestScipyFreeKernels:
+    """numerics' lgamma and numpy xlogy against the scipy.special formulas they replace."""
+
+    @pytest.mark.parametrize("n", [0, 1, 30, 3000, 200000])
+    def test_log_binomial_coefficients_match_gammaln(self, n):
+        k = np.arange(n + 1, dtype=float)
+        reference = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        error = np.abs(numerics._log_binomial_coefficients(n) - reference)
+        assert error.max() <= 4 * np.spacing(gammaln(n + 1))
+
+    @staticmethod
+    def assert_band_matches_xlogy(monkeypatch, n, p1):
+        band = binomial_band(n, p1)
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "_xlogy", xlogy)
+            reference = binomial_band(n, p1)
+        np.testing.assert_array_equal(band[0], reference[0])
+        np.testing.assert_array_equal(band[1], reference[1])
+
+    # the kept cells, and so the work of every banded walk, depend on the band
+    @pytest.mark.parametrize("n", [1, 30, 2000, 3000])
+    @pytest.mark.parametrize("example", ["noon", "dephasing-1.0", "dephasing-0.8", "field"])
+    def test_band_matches_xlogy_on_models(self, monkeypatch, example, n):
+        _, model = BUILDERS[example](4001)
+        self.assert_band_matches_xlogy(monkeypatch, n, model.p1.values)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 30, 2000, 3000, 5000])
+    def test_band_matches_xlogy_on_special_p(self, monkeypatch, n):
+        self.assert_band_matches_xlogy(monkeypatch, n, np.array(SPECIAL_P))
 
 
 class TestBandedLikelihood:

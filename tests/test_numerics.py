@@ -1,4 +1,11 @@
+import functools
+import importlib.machinery
+import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from qbounds import numerics
 from qbounds.core import ParameterGrid
 from qbounds.errors import DomainError, SingularSystem
 from qbounds.numerics import (
@@ -96,6 +104,91 @@ class TestTridiagonal:
         dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
         expected = np.linalg.solve(dense, rhs)
         assert np.max(np.abs(u - expected)) <= 1e-10 * max(np.max(np.abs(rhs)), 1.0)
+
+
+def tridiagonal_systems():
+    """(diag, off, rhs): the systems above, and a strictly dominant one of 4001 rows."""
+    rng = np.random.default_rng(11)
+    m = 4001
+    return [
+        (np.ones(3), np.zeros(2), np.array([3.0, -1.0, 2.0])),
+        (2.0 * np.ones(5), -np.ones(4), np.array([1.0, 0, 0, 0, 1.0])),
+        (2.0 + np.abs(rng.normal(size=m)), rng.uniform(-1, 1, m - 1), rng.normal(size=m)),
+    ]
+
+
+# Run in a fresh interpreter on the systems read from stdin: imports
+# qbounds.cli, then scipy.linalg. Prints the scipy.linalg/scipy.special
+# modules the CLI import left behind, and each system's solution before and
+# after scipy.linalg was imported, next to scipy.linalg.lapack's own solve.
+# JSON carries every float exactly (repr round-trips, -0.0 included).
+_LOADER_PROBE = """
+import json, sys
+import numpy as np
+import qbounds.cli
+from qbounds import numerics
+loaded = sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.special")))
+systems = [[np.array(a) for a in s] for s in json.load(sys.stdin)]
+before = [numerics.solve_tridiagonal(*s) for s in systems]
+from scipy.linalg.lapack import dpttrf, dpttrs
+after = [numerics.solve_tridiagonal(*s) for s in systems]
+reference = [dpttrs(*dpttrf(d, e)[:2], b)[0] for d, e, b in systems]
+print(json.dumps({"loaded": loaded, "before": [u.tolist() for u in before],
+                  "after": [u.tolist() for u in after],
+                  "reference": [u.tolist() for u in reference]}))
+"""
+
+
+class TestLapackLoader:
+    """numerics loads scipy's _flapack by file; scipy.linalg.lapack is the fallback."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def probe():
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        systems = json.dumps([[a.tolist() for a in s] for s in tridiagonal_systems()])
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADER_PROBE], input=systems, capture_output=True,
+            text=True, timeout=120,
+            env={**os.environ,
+                 "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])})
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_cli_import_loads_no_scipy_linalg_or_special(self):
+        assert self.probe()["loaded"] == []
+
+    def test_direct_routines_agree_after_scipy_linalg_import(self):
+        doc = self.probe()
+        assert doc["before"] == doc["after"] == doc["reference"]
+
+    @pytest.fixture
+    def fallback(self, monkeypatch):
+        """A second copy of numerics, executed while no _flapack file is found."""
+        find_spec = importlib.machinery.PathFinder.find_spec
+
+        def no_flapack(name, path=None, target=None):
+            return None if name == "_flapack" else find_spec(name, path, target)
+
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_flapack)
+        spec = importlib.util.spec_from_file_location("qbounds._numerics_fallback",
+                                                      numerics.__file__)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_fallback_solves_bitwise_alike(self, fallback):
+        from scipy.linalg import lapack
+
+        assert fallback.dpttrf is lapack.dpttrf and fallback.dpttrs is lapack.dpttrs
+        assert numerics.dpttrf is not lapack.dpttrf
+        for diag, off, rhs in tridiagonal_systems():
+            direct = numerics.solve_tridiagonal(diag, off, rhs)
+            assert fallback.solve_tridiagonal(diag, off, rhs).tobytes() == direct.tobytes()
+
+    def test_fallback_raises_on_indefinite_matrix(self, fallback):
+        with pytest.raises(SingularSystem, match="not positive definite at row 1"):
+            fallback.solve_tridiagonal(np.ones(2), np.array([2.0]), np.ones(2))
 
 
 def pmf(n, k, p):
