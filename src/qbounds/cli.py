@@ -19,20 +19,20 @@ the integers below 1e12 that n and k are capped to), rows are ordered by
 axis value, and nothing in the pipeline is random. Every run can also emit
 a JSON report (``--report``) whose ``rows`` are the CSV rows, whose
 ``diagnostics`` hold the run-level values, and whose config echo reproduces
-the identical CSV when fed back through ``--config``.
+the identical CSV when fed back through ``--config``. A config file holds
+the echo's keys only; the flags given override them.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (or out
-of memory), 4 invariant violation in the emitted rows.
+Exit codes: 0 success, 2 configuration error (or unwritable output), 3
+numerical failure (or out of memory), 4 invariant violation in the rows.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -80,8 +80,8 @@ _EXAMPLES = {
 # Other names for a parameter: the dephasing decay rate gamma = -ln(eta).
 _ALIASES = {"gamma": "eta"}
 
-# Longest --n-range accepted: each n is a full bound and MMSE evaluation.
-_MAX_N_RANGE = 10_000
+# Most n values, or sweep values, of one run: each is a full evaluation.
+_MAX_POINTS = 10_000
 # Largest n accepted: %.12g prints every integer up to here exactly.
 _MAX_N = 999_999_999_999
 
@@ -96,22 +96,16 @@ _OBB_VS_MMSE_RTOL = 1e-9
 @dataclass
 class RunConfig:
     example: str
-    params: dict = field(default_factory=dict)
-    prior: tuple[float, float] = (0.0, 1.0)
-    grid_points: int = DEFAULT_GRID_M
-    n_list: list[int] = field(default_factory=lambda: [1])
-    sweep: dict | None = None          # {"param": name, "values": [...]}
-    stride: int = 1
-    out: str | None = None
-    report: str | None = None
-
-    def echo(self) -> dict:
-        """Lossless resolved-config dictionary for the JSON report."""
-        return {k: v for k, v in asdict(self).items() if k not in ("out", "report")}
+    params: dict
+    prior: tuple[float, float]
+    grid_points: int
+    n_list: list[int]
+    sweep: dict | None  # {"param": name, "values": [...]}
+    stride: int
 
 
 def _number(value, what: str, integral: bool = False):
-    """A value from a flag, the config file or the environment, checked.
+    """A value from a flag or the config file, checked.
 
     Returns a finite float, or an int when ``integral``; anything else
     (text that is no number, nan, inf, 10.9 where an integer is due, a
@@ -133,6 +127,15 @@ def _pair(parts, what: str, integral: bool = False) -> tuple:
     return tuple(_number(v, what, integral) for v in parts)
 
 
+def _points(values, what: str) -> list:
+    """A list or range of 1 to _MAX_POINTS values as a list; else ConfigError."""
+    if not isinstance(values, (list, range)) or not values:
+        raise ConfigError(f"{what} needs a non-empty list of values, got {values!r}")
+    if len(values[:_MAX_POINTS + 1]) > _MAX_POINTS:  # len(range(1, 10**300)) overflows
+        raise ConfigError(f"{what} holds more than {_MAX_POINTS} values")
+    return list(values)
+
+
 def _split(text: str, flag: str) -> tuple[str, str]:
     if "=" not in text:
         raise ConfigError(f"{flag} expects KEY=VALUE, got {text!r}")
@@ -140,13 +143,17 @@ def _split(text: str, flag: str) -> tuple[str, str]:
     return key.strip(), value
 
 
-def _resolve_params(example: str, given: dict, sweep: dict | None):
+def _resolve_params(example: str, given, sweep):
     """Checked (params, sweep) of one example from raw names and values.
 
     Every name must belong to the example and each parameter may be set
     under one name only, the sweep's included; defaults fill only the
     parameters nobody set. Raises ConfigError otherwise.
     """
+    if not isinstance(given, dict):
+        raise ConfigError(f"config params must be an object, got {given!r}")
+    if sweep and not (isinstance(sweep, dict) and isinstance(sweep.get("param"), str)):
+        raise ConfigError(f"a sweep needs a parameter and its values, got {sweep!r}")
     defaults = _EXAMPLES[example].params
     named = {}
     for name in [*given, *([sweep["param"]] if sweep else [])]:
@@ -167,11 +174,13 @@ def _resolve_params(example: str, given: dict, sweep: dict | None):
     params.update((k, check(k, v)) for k, v in given.items())
     if sweep:
         sweep = {"param": sweep["param"],
-                 "values": [check(sweep["param"], v) for v in sweep["values"]]}
+                 "values": [check(sweep["param"], v)
+                            for v in _points(sweep.get("values"), "sweep")]}
     return params, sweep
 
 
 def _load_config_file(path: str) -> dict:
+    """A config file's settings, or a report's config echo (its command unused)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -179,60 +188,56 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    # Accept a full JSON report as a config: unwrap the echo.
     if "config" in data and isinstance(data["config"], dict):
         data = data["config"]
+    unknown = set(data) - {f.name for f in fields(RunConfig)} - {"command"}
+    if unknown:
+        raise ConfigError(f"config has unknown keys {', '.join(sorted(unknown))}")
     return data
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config file, environment, and flags (flags win)."""
-    file_cfg = _load_config_file(args.config) if args.config else {}
+def _flag_settings(args: argparse.Namespace, file_params) -> dict:
+    """The settings the flags give, under the config file's keys."""
+    flags = {"example": args.example, "grid_points": args.grid, "stride": args.stride}
+    if args.prior is not None:
+        flags["prior"] = args.prior.split(":")
+    if args.n_range is not None:
+        lo, hi = _pair(args.n_range.split(":"), "--n-range", integral=True)
+        flags["n_list"] = range(lo, hi + 1)
+    elif args.n is not None:
+        flags["n_list"] = [args.n]
+    if args.sweep is not None:
+        key, values = _split(args.sweep, "--sweep")
+        flags["sweep"] = {"param": key,
+                          "values": [v for v in values.split(",") if v.strip()]}
+    # params that are no object stay in place, for _resolve_params to reject
+    if args.param and isinstance(file_params, dict):
+        flags["params"] = {**file_params,
+                           **dict(_split(item, "--param") for item in args.param)}
+    return {k: v for k, v in flags.items() if v is not None}
 
-    example = args.example or file_cfg.get("example")
+
+def build_config(args: argparse.Namespace) -> RunConfig:
+    """Overlay the flags on the config file's settings, then check each once."""
+    settings = {} if args.config is None else _load_config_file(args.config)
+    settings.update(_flag_settings(args, settings.get("params", {})))
+
+    example = settings.get("example")
     if not isinstance(example, str) or example not in _EXAMPLES:
         raise ConfigError(
             f"--example must be one of {', '.join(_EXAMPLES)}, got {example!r}"
         )
 
-    given = file_cfg.get("params", {})
-    if not isinstance(given, dict):
-        raise ConfigError(f"config params must be an object, got {given!r}")
-    given = {**given, **dict(_split(item, "--param") for item in args.param or ())}
-    if args.sweep:
-        key, values = _split(args.sweep, "--sweep")
-        sweep = {"param": key, "values": [v for v in values.split(",") if v.strip()]}
-    else:
-        sweep = file_cfg.get("sweep") or None
-    if sweep is not None and not (
-        isinstance(sweep, dict) and isinstance(sweep.get("param"), str)
-        and isinstance(sweep.get("values"), list) and sweep["values"]
-    ):
-        raise ConfigError(f"a sweep needs a parameter and at least one value: {sweep!r}")
-    params, sweep = _resolve_params(example, given, sweep)
+    params, sweep = _resolve_params(example, settings.get("params", {}),
+                                    settings.get("sweep") or None)
 
-    prior = args.prior.split(":") if args.prior else file_cfg.get(
-        "prior", _EXAMPLES[example].prior)
-    prior = _pair(prior, "prior")
+    prior = _pair(settings.get("prior", _EXAMPLES[example].prior), "prior")
+    # ParameterGrid rejects an even grid or one below 3 nodes
+    grid_points = _number(settings.get("grid_points", DEFAULT_GRID_M),
+                          "grid size (--grid or config grid_points)", integral=True)
 
-    grid_points = _number(
-        args.grid if args.grid is not None else file_cfg.get(
-            "grid_points", os.environ.get("QBOUNDS_GRID", DEFAULT_GRID_M)),
-        "grid size (--grid, config grid_points or QBOUNDS_GRID)", integral=True)
-    if grid_points < 3 or grid_points % 2 == 0:
-        raise ConfigError(f"grid size must be odd and >= 3, got {grid_points}")
-
-    if args.n_range:
-        lo, hi = _pair(args.n_range.split(":"), "--n-range", integral=True)
-        if hi - lo >= _MAX_N_RANGE:
-            raise ConfigError(f"--n-range holds more than {_MAX_N_RANGE} values, "
-                              f"got {args.n_range!r}")
-        n_list = list(range(lo, hi + 1))
-    else:
-        n_list = [args.n] if args.n is not None else file_cfg.get("n_list", [1])
-    if not isinstance(n_list, list) or not n_list:
-        raise ConfigError(f"need a non-empty list of n, got {args.n_range or n_list!r}")
-    n_list = [_number(v, "n", integral=True) for v in n_list]
+    n_list = [_number(v, "n", integral=True)
+              for v in _points(settings.get("n_list", [1]), "n_list")]
     floor = 0 if args.command == "mmse" else 1
     if min(n_list) < floor:
         raise ConfigError(
@@ -245,24 +250,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if sweep is not None and len(n_list) != 1:
         raise ConfigError("a parameter sweep requires a single fixed n")
 
-    stride = _number(args.stride if args.stride is not None
-                     else file_cfg.get("stride", 1), "stride", integral=True)
+    stride = _number(settings.get("stride", 1), "stride", integral=True)
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
     if args.command != "bias" and stride != 1:
         raise ConfigError(f"the {args.command} command takes no stride, got {stride}")
 
-    return RunConfig(
-        example=example,
-        params=params,
-        prior=prior,
-        grid_points=grid_points,
-        n_list=n_list,
-        sweep=sweep,
-        stride=stride,
-        out=args.out,
-        report=args.report,
-    )
+    return RunConfig(example, params, prior, grid_points, n_list, sweep, stride)
 
 
 def _build(example: str, params: dict, prior, m: int, n: int):
@@ -371,7 +365,7 @@ def render_csv(command: str, rows: list[tuple]) -> str:
 def emit_report(config: RunConfig, command: str, rows: list[tuple],
                 values: dict, wall_time_ms: float) -> dict:
     return {
-        "config": {**config.echo(), "command": command},
+        "config": {**asdict(config), "command": command},
         "rows": rows,
         "diagnostics": {**values, "grid_m": config.grid_points,
                         "wall_time_ms": wall_time_ms},
@@ -383,8 +377,11 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -401,7 +398,7 @@ def make_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         # values stay text here: build_config checks them with _number, like
-        # the same values from the config file or the environment
+        # the same values from the config file
         p.add_argument("--example", choices=_EXAMPLES)
         p.add_argument("--n", default=None)
         p.add_argument("--n-range", default=None, metavar="MIN:MAX")
@@ -427,10 +424,10 @@ def main(argv: list[str] | None = None) -> int:
         rows, values = _RUNNERS[args.command](config)
         _check_values(values)
         wall_ms = (time.perf_counter() - start) * 1e3
-        _write(config.out, render_csv(args.command, rows))
-        if config.report:
+        _write(args.out, render_csv(args.command, rows))
+        if args.report:
             doc = emit_report(config, args.command, rows, values, wall_ms)
-            _write(config.report, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+            _write(args.report, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     except InvariantViolation as exc:
         print(f"qbounds: output invariant violated: {exc}", file=sys.stderr)
         return 4

@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbounds.cli import _check_row, build_config, main, make_parser, render_csv
-from qbounds.errors import InvariantViolation
+from qbounds.errors import ConfigError, InvariantViolation
 
 # small grid keeps the CLI suite fast; still odd and Simpson-compatible
 GRID = ["--grid", "1001"]
@@ -227,15 +228,67 @@ class TestConfigErrors:
         )
         assert code == 2
 
-    def test_env_grid_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QBOUNDS_GRID", "501")
-        _, _, doc = run(tmp_path, "bounds", "--example", "noon", "--n", "1")
-        assert doc["config"]["grid_points"] == 501
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_unwritable_output(self, tmp_path, capsys, flag):
+        path = str(tmp_path / "missing" / "x")
+        argv = ["bounds", "--example", "noon", "--n", "1", *GRID, flag, path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qbounds: cannot write {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_env_grid_must_be_odd(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QBOUNDS_GRID", "500")
-        code, _, _ = run(tmp_path, "bounds", "--example", "noon", "--n", "1")
-        assert code == 2
+
+# every key of a config file, as the report of a bias run echoes them
+FULL_CONFIG = {"example": "interferometer", "params": {"n_a": 2.0, "n_b": 3.0},
+               "prior": [0.0, 0.2], "grid_points": 501, "n_list": [2],
+               "sweep": None, "stride": 3}
+
+
+class TestSettings:
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--example", "noon", "--n-range", "1:3"),
+        ("bounds", "--example", "dephasing", "--n", "5", "--sweep", "eta=0.1,0.9"),
+        ("bias", "--example", "noon", "--n", "1", "--stride", "50"),
+        ("mmse", "--example", "dephasing", "--n", "0"),
+        ("bounds", "--example", "dephasing", "--n", "5", "--param", "gamma=0.2"),
+    ], ids=["n-range", "sweep", "stride", "mmse-n0", "gamma"])
+    def test_report_replays_to_same_csv(self, tmp_path, argv):
+        code, csv_text, _ = run(tmp_path, *argv, *GRID)
+        assert code == 0
+        replay = tmp_path / "replay.csv"
+        assert main([argv[0], "--config", str(tmp_path / "report.json"),
+                     "--out", str(replay)]) == 0
+        assert replay.read_text() == csv_text
+
+    @staticmethod
+    def settings(tmp_path, command, *flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(FULL_CONFIG))
+        args = make_parser().parse_args([command, "--config", str(path), *flags])
+        return build_config(args)
+
+    def test_file_alone(self, tmp_path):
+        config = self.settings(tmp_path, "bias")
+        assert asdict(config) == {**FULL_CONFIG, "prior": (0.0, 0.2)}
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (("bias", "--prior", "0.1:0.3"), "prior", (0.1, 0.3)),
+        (("bias", "--grid", "1001"), "grid_points", 1001),
+        (("bias", "--n", "7"), "n_list", [7]),
+        (("bias", "--stride", "5"), "stride", 5),
+        (("bias", "--param", "n_b=4"), "params", {"n_a": 2.0, "n_b": 4.0}),
+        # bounds takes several n or a sweep, but no stride
+        (("bounds", "--stride", "1", "--n-range", "4:6"), "n_list", [4, 5, 6]),
+        (("bounds", "--stride", "1", "--sweep", "n_a=5,6"), "sweep",
+         {"param": "n_a", "values": [5.0, 6.0]}),
+    ], ids=["prior", "grid", "n", "stride", "param-merges", "n-range", "sweep"])
+    def test_flag_overrides_file(self, tmp_path, argv, key, value):
+        assert getattr(self.settings(tmp_path, *argv), key) == value
+
+    def test_example_flag_overrides_file(self, tmp_path):
+        # the file's parameters belong to its own example, not the flag's
+        with pytest.raises(ConfigError, match="the noon example has no parameter 'n_a'"):
+            self.settings(tmp_path, "bias", "--example", "noon")
 
 
 class TestFailureExitCodes:
@@ -403,6 +456,26 @@ class TestParameterChecks:
                          id="n-past-print-limit"),
             pytest.param(("bounds", "--example", "noon", "--n", "1e21"), None,
                          id="huge-n"),
+            # a misspelt key was ignored: this ran on the default 4001 nodes
+            pytest.param(("bounds",), {"example": "noon", "grid": 501},
+                         id="config-unknown-key"),
+            pytest.param(("bounds",), {"example": "noon", "n_list": [1] * 10001},
+                         id="config-n_list-past-limit"),
+            pytest.param(("bounds", "--example", "dephasing", "--n", "1",
+                          "--sweep", "eta=" + ",".join(["0.5"] * 10001)), None,
+                         id="sweep-past-limit"),
+            pytest.param(("bounds",), {"example": "dephasing",
+                                       "sweep": {"param": "eta", "values": [0.5] * 10001}},
+                         id="config-sweep-past-limit"),
+            # an empty flag was taken for an absent one
+            pytest.param(("bounds", "--example", "noon", "--n", "1", "--prior", ""),
+                         None, id="empty-prior"),
+            pytest.param(("bounds", "--example", "noon", "--n", "1", "--n-range", ""),
+                         None, id="empty-n-range"),
+            pytest.param(("bounds", "--example", "noon", "--n", "1", "--sweep", ""),
+                         None, id="empty-sweep"),
+            pytest.param(("bounds", "--example", "noon", "--n", "1", "--config", ""),
+                         None, id="empty-config"),
         ],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, argv, cfg):

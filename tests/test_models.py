@@ -166,6 +166,15 @@ class TestField:
             problem, _ = field_model(FieldParams(B), (0.0, math.pi / 2), 801, 1)
             assert problem.qfi.j_base.values.min() > 0.0
 
-    def test_vanishing_field_rejected(self):
-        with pytest.raises(DomainError):
-            FieldParams(0.0)
+
+# QfiProfile is the one check of a QFI that vanishes or underflows somewhere
+@pytest.mark.parametrize("build", [
+    lambda: field_model(FieldParams(0.0), (0.0, math.pi / 2), 101),
+    # eta^2 underflows; at gamma = 800 eta itself is 0
+    lambda: dephasing_model(DephasingParams(400.0), (0.0, math.pi), 101),
+    lambda: dephasing_model(DephasingParams(800.0), (0.0, math.pi), 101),
+    lambda: interferometer_problem(InterferometerParams(0.0, 0.0), (0.0, 1.0), 101),
+], ids=["field-B0", "dephasing-gamma400", "dephasing-gamma800", "interferometer-dark"])
+def test_vanishing_qfi_rejected(build):
+    with pytest.raises(DomainError, match="QFI must be finite and strictly positive"):
+        build()
