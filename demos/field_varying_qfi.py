@@ -30,5 +30,5 @@ for n in (1, 2, 3, 5, 10, 20, 30):
     )
 
 problem, _ = field_model(FieldParams(math.pi / 2.0), SUPPORT, GRID_M, 1)
-j = problem.qfi.j_base.values
+j = problem.qfi.values  # n * J(x) at n = 1
 print(f"\nJ(x) ranges over [{j.min():.3f}, {j.max():.3f}] on the support")

@@ -21,7 +21,6 @@ from .core import (
     GridFunction,
     ParameterGrid,
     PriorDensity,
-    QfiProfile,
     make_uniform_prior,
 )
 from .errors import (

@@ -82,14 +82,14 @@ def bound_functional(
     if b.grid != p.grid or b_prime.grid != p.grid:
         raise DomainError("bias samples must live on the problem grid")
     integrand = p.prior.samples.values * (
-        (1.0 + b_prime.values) ** 2 / p.qfi.effective() + b.values**2
+        (1.0 + b_prime.values) ** 2 / p.qfi.values + b.values**2
     )
     return float(composite_simpson(integrand, p.grid.h))
 
 
 def bayesian_qcrb(p: EstimationProblem) -> BoundReport:
     """Bayesian quantum Cramer-Rao bound: the b = 0 member of the family."""
-    integrand = p.prior.samples.values / p.qfi.effective()
+    integrand = p.prior.samples.values / p.qfi.values
     value = float(composite_simpson(integrand, p.grid.h))
     return BoundReport(value, None, None)
 
@@ -142,7 +142,7 @@ def _cell_weights(p: EstimationProblem) -> tuple[np.ndarray, np.ndarray]:
     density = p.prior.samples.values
     mass = p.grid.h * density
     mass[[0, -1]] /= 2.0
-    ratio = p.qfi.effective() / density
+    ratio = p.qfi.values / density
     return mass, 0.5 * (ratio[:-1] + ratio[1:])
 
 

@@ -152,11 +152,12 @@ def _resolve_params(example: str, given, sweep):
     """
     if not isinstance(given, dict):
         raise ConfigError(f"config params must be an object, got {given!r}")
-    if sweep and not (isinstance(sweep, dict) and isinstance(sweep.get("param"), str)):
+    if sweep is not None and not (isinstance(sweep, dict)
+                                  and isinstance(sweep.get("param"), str)):
         raise ConfigError(f"a sweep needs a parameter and its values, got {sweep!r}")
     defaults = _EXAMPLES[example].params
     named = {}
-    for name in [*given, *([sweep["param"]] if sweep else [])]:
+    for name in [*given, *([sweep["param"]] if sweep is not None else [])]:
         canonical = _ALIASES.get(name, name)
         if canonical not in defaults:
             raise ConfigError(
@@ -172,7 +173,7 @@ def _resolve_params(example: str, given, sweep):
 
     params = {k: v for k, v in defaults.items() if k not in named}
     params.update((k, check(k, v)) for k, v in given.items())
-    if sweep:
+    if sweep is not None:
         sweep = {"param": sweep["param"],
                  "values": [check(sweep["param"], v)
                             for v in _points(sweep.get("values"), "sweep")]}
@@ -201,6 +202,8 @@ def _flag_settings(args: argparse.Namespace, file_params) -> dict:
     flags = {"example": args.example, "grid_points": args.grid, "stride": args.stride}
     if args.prior is not None:
         flags["prior"] = args.prior.split(":")
+    if args.n_range is not None and args.n is not None:
+        raise ConfigError("give --n or --n-range, not both")
     if args.n_range is not None:
         lo, hi = _pair(args.n_range.split(":"), "--n-range", integral=True)
         flags["n_list"] = range(lo, hi + 1)
@@ -229,7 +232,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         )
 
     params, sweep = _resolve_params(example, settings.get("params", {}),
-                                    settings.get("sweep") or None)
+                                    settings.get("sweep"))
 
     prior = _pair(settings.get("prior", _EXAMPLES[example].prior), "prior")
     # ParameterGrid rejects an even grid or one below 3 nodes
@@ -267,8 +270,8 @@ def _build(example: str, params: dict, prior, m: int, n: int):
 def _measured_point(config: RunConfig):
     """(problem, model, n) at the single n of the bias and mmse commands."""
     n = config.n_list[0]
-    # the n=0 baseline needs no QFI profile; build the problem with one
-    # repetition and run the estimator at the requested n
+    # the n=0 baseline has no information to bound; build the problem at
+    # n = 1 and run the estimator at the requested n
     problem, model = _build(
         config.example, config.params, config.prior, config.grid_points, max(n, 1)
     )

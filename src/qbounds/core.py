@@ -1,7 +1,7 @@
 """Shared parameter grid and the estimation-problem data model.
 
 All bounds and estimators consume an EstimationProblem: a prior density and
-a (possibly x-dependent) QFI profile, both sampled on one uniform grid. The
+the effective (n-fold) QFI n * J(x), both sampled on one uniform grid. The
 estimand is the parameter x itself. Types are frozen dataclasses and safe
 to share across threads.
 """
@@ -19,7 +19,6 @@ __all__ = [
     "ParameterGrid",
     "GridFunction",
     "PriorDensity",
-    "QfiProfile",
     "EstimationProblem",
     "make_uniform_prior",
 ]
@@ -114,45 +113,18 @@ class PriorDensity:
 
 
 @dataclass(frozen=True)
-class QfiProfile:
-    """Single-shot QFI J(x) with a repetition count.
-
-    The effective information for n repeated measurements is n * J(x).
-    """
-
-    j_base: GridFunction
-    repetitions: int = 1
-
-    def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise DomainError(f"repetitions must be >= 1, got {self.repetitions}")
-        v = self.j_base.values
-        if not (v.min() > 0.0 and v.max() < np.inf):
-            raise DomainError("QFI must be finite and strictly positive on the grid")
-
-    @classmethod
-    def constant(cls, grid: ParameterGrid, j: float, repetitions: int = 1) -> "QfiProfile":
-        return cls(GridFunction(grid, np.full(grid.m, float(j))), repetitions)
-
-    @property
-    def grid(self) -> ParameterGrid:
-        return self.j_base.grid
-
-    def effective(self) -> np.ndarray:
-        """n * J(x) samples."""
-        return self.repetitions * self.j_base.values
-
-
-@dataclass(frozen=True)
 class EstimationProblem:
-    """Prior and QFI sharing one grid."""
+    """Prior and effective (n-fold) QFI n * J(x) sharing one grid."""
 
     prior: PriorDensity
-    qfi: QfiProfile
+    qfi: GridFunction
 
     def __post_init__(self) -> None:
         if self.qfi.grid != self.prior.grid:
             raise DomainError("prior and QFI must share one grid")
+        v = self.qfi.values
+        if not (v.min() > 0.0 and v.max() < np.inf):
+            raise DomainError("QFI must be finite and strictly positive on the grid")
 
     @property
     def grid(self) -> ParameterGrid:

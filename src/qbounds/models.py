@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EstimationProblem, GridFunction, QfiProfile, make_uniform_prior
+from .core import EstimationProblem, GridFunction, make_uniform_prior
 from .errors import DomainError
 from .estimation import BinaryMeasurementModel
 
@@ -97,13 +97,15 @@ def _uniform_model(support, m: int, n: int, j, p1=None):
     """(problem, measurement model or None) under a uniform prior on support.
 
     j(x) and p1(x) give the single-shot QFI (a scalar for a constant one)
-    and the probability of outcome 1 at the grid nodes x. Without p1 there
-    is no measurement model.
+    and the probability of outcome 1 at the grid nodes x; the problem holds
+    the n-fold QFI n * j(x). Without p1 there is no measurement model.
     """
     prior = make_uniform_prior(support[0], support[1], m)
     grid = prior.grid
     x = grid.nodes()
-    qfi = QfiProfile(GridFunction(grid, np.broadcast_to(j(x), x.shape)), n)
+    # an n * J past the double range is inf, which EstimationProblem rejects
+    with np.errstate(over="ignore"):
+        qfi = GridFunction(grid, n * np.broadcast_to(j(x), x.shape))
     model = None if p1 is None else BinaryMeasurementModel(GridFunction(grid, p1(x)))
     return EstimationProblem(prior, qfi), model
 
@@ -116,7 +118,7 @@ def noon_model(
 ) -> tuple[EstimationProblem, BinaryMeasurementModel]:
     """NOON-state phase estimation: constant QFI N^2, p1 = sin^2(Nx/2)."""
     N = params.N
-    # N * N is inf where N ** 2 raises OverflowError; QfiProfile rejects inf
+    # N * N is inf where N ** 2 raises OverflowError; EstimationProblem rejects inf
     return _uniform_model(prior_support, m, n, lambda x: float(N) * float(N),
                           lambda x: np.sin(N * x / 2.0) ** 2)
 

@@ -17,7 +17,7 @@ from qbounds.bounds import (
     obb_variational,
     solve_optimal_bias,
 )
-from qbounds.core import EstimationProblem, GridFunction, QfiProfile, make_uniform_prior
+from qbounds.core import EstimationProblem, GridFunction, make_uniform_prior
 from qbounds.estimation import estimator_bias, mmse_mse, mse_via_decomposition
 from qbounds.models import (
     DephasingParams,
@@ -36,7 +36,7 @@ A_NOON = math.pi / 10.0
 
 def constant_problem(j, a, m=M, n=1):
     prior = make_uniform_prior(0.0, a, m)
-    return EstimationProblem(prior, QfiProfile.constant(prior.grid, j, n))
+    return EstimationProblem(prior, GridFunction(prior.grid, np.full(m, n * j)))
 
 
 def report(cid, text):

@@ -20,7 +20,7 @@ PUBLIC = {
     "obb_closed_form", "obb_variational", "optimal_bias_closed_form",
     "solve_optimal_bias",
     "DEFAULT_GRID_M", "EstimationProblem", "GridFunction", "ParameterGrid",
-    "PriorDensity", "QfiProfile", "make_uniform_prior",
+    "PriorDensity", "make_uniform_prior",
     "ConfigError", "DomainError", "InvariantViolation", "QboundsError",
     "SingularSystem",
     "BinaryMeasurementModel", "MmseReport", "estimator_bias", "mmse_mse",

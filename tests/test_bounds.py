@@ -21,7 +21,6 @@ from qbounds.core import (
     GridFunction,
     ParameterGrid,
     PriorDensity,
-    QfiProfile,
     make_uniform_prior,
 )
 from qbounds.errors import DomainError
@@ -34,7 +33,7 @@ A_NOON = math.pi / 10.0
 
 def constant_problem(j=100.0, a=A_NOON, m=4001, n=1):
     prior = make_uniform_prior(0.0, a, m)
-    return EstimationProblem(prior, QfiProfile.constant(prior.grid, j, n))
+    return EstimationProblem(prior, GridFunction(prior.grid, np.full(m, n * j)))
 
 
 def closed_form_bias_prime(j, a, grid):
@@ -217,7 +216,7 @@ class TestSolveOptimalBias:
     def test_large_residual_warns_that_the_bound_may_be_high(self):
         # diag K underflows on a support this wide, leaving a residual of 1
         prior = make_uniform_prior(0.0, 1e300, 101)
-        p = EstimationProblem(prior, QfiProfile.constant(prior.grid, 1.0))
+        p = EstimationProblem(prior, GridFunction(prior.grid, np.ones(101)))
         with pytest.warns(RuntimeWarning, match="may lie above the optimal biased bound"):
             solve_optimal_bias(p)
 
@@ -305,7 +304,7 @@ def unit_interval_problem(density, m, j=25.0):
     grid = ParameterGrid(0.0, 1.0, m)
     v = density(grid.nodes())
     prior = PriorDensity(GridFunction(grid, v / composite_simpson(v, grid.h)))
-    return EstimationProblem(prior, QfiProfile.constant(grid, j))
+    return EstimationProblem(prior, GridFunction(grid, np.full(m, j)))
 
 
 def obb_by_collocation(density, j, a=1.0, tol=1e-10):

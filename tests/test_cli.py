@@ -470,12 +470,27 @@ class TestParameterChecks:
             # an empty flag was taken for an absent one
             pytest.param(("bounds", "--example", "noon", "--n", "1", "--prior", ""),
                          None, id="empty-prior"),
-            pytest.param(("bounds", "--example", "noon", "--n", "1", "--n-range", ""),
+            pytest.param(("bounds", "--example", "noon", "--n-range", ""),
                          None, id="empty-n-range"),
             pytest.param(("bounds", "--example", "noon", "--n", "1", "--sweep", ""),
                          None, id="empty-sweep"),
             pytest.param(("bounds", "--example", "noon", "--n", "1", "--config", ""),
                          None, id="empty-config"),
+            # --n was dropped in favour of --n-range, whatever the flag order
+            pytest.param(("bounds", "--example", "noon", "--n", "5", "--n-range", "1:3"),
+                         None, id="n-with-n-range"),
+            # a falsy sweep was taken for no sweep and ran the n_list
+            pytest.param(("bounds",), {"example": "noon", "sweep": 0, "n_list": [1, 2]},
+                         id="config-sweep-0"),
+            pytest.param(("bounds",), {"example": "noon", "sweep": False, "n_list": [1, 2]},
+                         id="config-sweep-false"),
+            pytest.param(("bounds",), {"example": "noon", "sweep": [], "n_list": [1, 2]},
+                         id="config-sweep-empty-list"),
+            pytest.param(("bounds",), {"example": "noon", "sweep": {}, "n_list": [1, 2]},
+                         id="config-sweep-empty-object"),
+            # n * J overflowed past the checks and made the obb nan
+            pytest.param(("bounds", "--example", "interferometer", "--n", "999999999999",
+                          "--param", "n_a=1e297"), None, id="nJ-overflows"),
         ],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, argv, cfg):

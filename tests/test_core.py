@@ -8,7 +8,6 @@ from qbounds.core import (
     GridFunction,
     ParameterGrid,
     PriorDensity,
-    QfiProfile,
     make_uniform_prior,
 )
 from qbounds.errors import DomainError
@@ -83,24 +82,24 @@ class TestGridDerivative:
 
 class TestValidateProblem:
     def test_zero_qfi_node_rejected(self):
-        grid = ParameterGrid(0.0, 1.0, 11)
+        prior = make_uniform_prior(0.0, 1.0, 11)
         j = np.ones(11)
         j[5] = 0.0
         with pytest.raises(DomainError, match="strictly positive"):
-            QfiProfile(GridFunction(grid, j), 1)
+            EstimationProblem(prior, GridFunction(prior.grid, j))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_qfi_rejected(self, bad):
-        grid = ParameterGrid(0.0, 1.0, 11)
+        prior = make_uniform_prior(0.0, 1.0, 11)
         j = np.ones(11)
         j[5] = bad
         with pytest.raises(DomainError, match="finite"):
-            QfiProfile(GridFunction(grid, j), 1)
+            EstimationProblem(prior, GridFunction(prior.grid, j))
         with pytest.raises(DomainError, match="finite"):
-            QfiProfile.constant(grid, bad)
+            EstimationProblem(prior, GridFunction(prior.grid, np.full(11, bad)))
 
     def test_grid_mismatch(self):
         prior = make_uniform_prior(0.0, 1.0, 11)
         other = ParameterGrid(0.0, 1.0, 13)
         with pytest.raises(DomainError, match="share one grid"):
-            EstimationProblem(prior, QfiProfile.constant(other, 1.0))
+            EstimationProblem(prior, GridFunction(other, np.ones(13)))

@@ -21,7 +21,7 @@ from qbounds.models import (
 class TestNoon:
     def test_constant_qfi(self):
         problem, _ = noon_model(NoonParams(10), (0.0, math.pi / 10), 401, 1)
-        np.testing.assert_array_equal(problem.qfi.j_base.values, 100.0)
+        np.testing.assert_array_equal(problem.qfi.values, 100.0)
 
     def test_measurement_probability_endpoint(self):
         _, model = noon_model(NoonParams(10), (0.0, math.pi / 10), 401, 1)
@@ -46,7 +46,7 @@ class TestDephasing:
 
     def test_noiseless_limit(self):
         problem, model = dephasing_model(DephasingParams(0.0), (0.0, math.pi), 401, 1)
-        np.testing.assert_array_equal(problem.qfi.j_base.values, 1.0)
+        np.testing.assert_array_equal(problem.qfi.values, 1.0)
         mid = 200  # x = pi/2
         assert model.p1.values[mid] == pytest.approx(0.5, abs=1e-12)
 
@@ -147,7 +147,7 @@ class TestField:
         problem, model = field_model(
             FieldParams(math.pi / 2), (0.0, math.pi / 2), 4001, 1
         )
-        j = problem.qfi.j_base.values
+        j = problem.qfi.values
         assert j[0] == pytest.approx(2.0, abs=1e-12)
         assert j[-1] == pytest.approx(1.0, abs=1e-12)
         mid = 2000  # x = pi/4
@@ -158,16 +158,16 @@ class TestField:
         problem, _ = field_model(FieldParams(math.pi / 2), (0.0, math.pi / 2), 801, n)
         x = problem.grid.nodes()
         np.testing.assert_allclose(
-            problem.qfi.effective(), n * (2.0 - np.sin(x) ** 2), rtol=1e-13
+            problem.qfi.values, n * (2.0 - np.sin(x) ** 2), rtol=1e-13
         )
 
     def test_qfi_strictly_positive(self):
         for B in (0.3, math.pi / 2, 2.8):
             problem, _ = field_model(FieldParams(B), (0.0, math.pi / 2), 801, 1)
-            assert problem.qfi.j_base.values.min() > 0.0
+            assert problem.qfi.values.min() > 0.0
 
 
-# QfiProfile is the one check of a QFI that vanishes or underflows somewhere
+# EstimationProblem is the one check of a QFI that vanishes or underflows somewhere
 @pytest.mark.parametrize("build", [
     lambda: field_model(FieldParams(0.0), (0.0, math.pi / 2), 101),
     # eta^2 underflows; at gamma = 800 eta itself is 0

@@ -109,4 +109,4 @@ def test_amplitudes_reproduce_the_models(case, args, measured):
                                rtol=1e-12, atol=1e-15)
     overlap = np.sum(a.conj() * da, axis=0)
     j = 4.0 * (np.sum(np.abs(da) ** 2, axis=0) - np.abs(overlap) ** 2)
-    np.testing.assert_allclose(j, problem.qfi.j_base.values, rtol=1e-12)
+    np.testing.assert_allclose(j, problem.qfi.values, rtol=1e-12)
