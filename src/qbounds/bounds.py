@@ -102,9 +102,9 @@ def optimal_bias_closed_form(j: float, a: float, grid: ParameterGrid) -> GridFun
     every exponent is <= 0, so large r*a never overflows, and expm1 keeps
     the limit b -> a/2 - x as a^2 j -> 0 free of cancellation.
     """
-    if j <= 0.0:
+    if not j > 0.0:
         raise DomainError(f"QFI must be positive, got {j}")
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError(f"support width must be positive, got {a}")
     r = np.sqrt(j)
     x = grid.nodes()
@@ -121,7 +121,7 @@ def obb_closed_form(j_effective: float, a: float) -> BoundReport:
     a^2 J -> 0 without cancelling against 1/J. No bias is attached:
     optimal_bias_closed_form samples it on a given grid.
     """
-    if j_effective <= 0.0 or a <= 0.0:
+    if not (j_effective > 0.0 and a > 0.0):
         raise DomainError(
             f"need positive QFI and width, got j={j_effective}, a={a}"
         )

@@ -5,6 +5,8 @@ can catch one base class at API boundaries (the CLI maps subclasses to exit
 codes).
 """
 
+__all__ = ["QboundsError", "DomainError", "SingularSystem", "ConfigError", "InvariantViolation"]
+
 
 class QboundsError(Exception):
     """Base class for all qbounds errors."""

@@ -22,6 +22,7 @@ import numpy as np
 from .core import GridFunction, ParameterGrid, PriorDensity
 from .errors import DomainError
 from .numerics import (
+    _check_probabilities,
     binomial_band,
     composite_simpson,
     log_binomial_pmf_vector,
@@ -44,9 +45,7 @@ class BinaryMeasurementModel:
     p1: GridFunction
 
     def __post_init__(self) -> None:
-        v = self.p1.values
-        if v.min() < 0.0 or v.max() > 1.0:
-            raise DomainError("p1 samples must lie in [0, 1]")
+        _check_probabilities(self.p1.values)
 
     @property
     def grid(self) -> ParameterGrid:

@@ -96,6 +96,12 @@ def _log_binomial_coefficients(n: int) -> np.ndarray:
     return out
 
 
+def _check_probabilities(p1: np.ndarray) -> None:
+    """Raise DomainError unless every sample lies in [0, 1]; nan fails too."""
+    if not (p1.min() >= 0.0 and p1.max() <= 1.0):
+        raise DomainError("p1 samples must lie in [0, 1]")
+
+
 def log_binomial_pmf_vector(
     n: int, p1: np.ndarray, k_lo: int = 0, k_hi: int | None = None
 ) -> np.ndarray:
@@ -109,8 +115,7 @@ def log_binomial_pmf_vector(
     exact 0/1 cells.
     """
     p1 = np.asarray(p1, dtype=float)
-    if p1.min() < 0.0 or p1.max() > 1.0:
-        raise DomainError("p1 samples must lie in [0, 1]")
+    _check_probabilities(p1)
     k = np.arange(k_lo, n + 1 if k_hi is None else k_hi + 1)
     log_c = _log_binomial_coefficients(n)
     mirror = p1 > 0.5

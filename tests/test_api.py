@@ -1,8 +1,10 @@
 """The public names: every ``__all__`` entry exists, and the package exports a fixed set.
 
-The benchmark's span recorder (``bench/spans.py``) wraps each name in the
-``__all__`` of these modules, so a stale entry would only surface there, as
-a crash.
+``import qbounds`` star-imports bounds, core, errors, estimation and models,
+so a stale ``__all__`` entry in one of them fails at ``import qbounds``. The
+benchmark's span recorder (``bench/spans.py``) wraps each name in a
+module's ``__all__``, so a stale entry in numerics, which the package
+imports only in part, would surface there, as a crash.
 """
 import importlib
 import inspect
@@ -12,7 +14,7 @@ import pytest
 import qbounds
 from qbounds import errors
 
-MODULES = ("cli", "models", "core", "bounds", "numerics", "estimation")
+MODULES = ("cli", "models", "core", "bounds", "numerics", "estimation", "errors")
 # The whole public surface of ``import qbounds``: a name dropped from the
 # library must leave this set, and a name added must join it.
 PUBLIC = {
@@ -49,4 +51,4 @@ def test_every_error_class_is_exported():
     classes = {n for n, v in vars(errors).items() if isinstance(v, type)}
     assert classes == {"QboundsError", "DomainError", "SingularSystem",
                        "ConfigError", "InvariantViolation"}
-    assert classes <= PUBLIC
+    assert set(errors.__all__) == classes <= PUBLIC

@@ -132,6 +132,10 @@ class TestClosedFormBias:
     def test_nonpositive_j_rejected(self):
         with pytest.raises(DomainError):
             optimal_bias_closed_form(0.0, 1.0, ParameterGrid(0.0, 1.0, 11))
+        with pytest.raises(DomainError):
+            optimal_bias_closed_form(math.nan, 1.0, ParameterGrid(0.0, 1.0, 11))
+        with pytest.raises(DomainError):
+            optimal_bias_closed_form(1.0, math.nan, ParameterGrid(0.0, 1.0, 11))
 
 
 class TestClosedFormBound:
@@ -172,6 +176,10 @@ class TestClosedFormBound:
             obb_closed_form(-1.0, 1.0)
         with pytest.raises(DomainError):
             obb_closed_form(1.0, 0.0)
+        with pytest.raises(DomainError):
+            obb_closed_form(math.nan, 1.0)
+        with pytest.raises(DomainError):
+            obb_closed_form(1.0, math.nan)
 
 
 class TestSolveOptimalBias:

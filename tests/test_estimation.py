@@ -186,6 +186,12 @@ class TestMmseMse:
         with pytest.raises(DomainError, match="repetition count"):
             mmse_mse(model, problem.prior, n)
 
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+    def test_p1_outside_unit_interval_rejected(self, bad):
+        values = [0.1, bad, 0.3, 0.4, 0.5]
+        with pytest.raises(DomainError, match=r"p1 samples must lie in \[0, 1\]"):
+            BinaryMeasurementModel(GridFunction(ParameterGrid(0.0, 1.0, 5), values))
+
     def test_zero_evidence_outcomes_flagged(self):
         grid = ParameterGrid(0.0, 1.0, 201)
         model = BinaryMeasurementModel(GridFunction(grid, np.zeros(201)))

@@ -221,6 +221,8 @@ class TestBinomialPmf:
             log_binomial_pmf_vector(3, np.array([0.5, 1.5]))
         with pytest.raises(DomainError):
             log_binomial_pmf_vector(3, np.array([-0.1]))
+        with pytest.raises(DomainError):
+            log_binomial_pmf_vector(3, np.array([np.nan]))
 
     @given(
         n=st.integers(0, 200),
