@@ -100,12 +100,13 @@ def optimal_bias_closed_form(j: float, a: float, grid: ParameterGrid) -> GridFun
     b(x) = sinh(r(a/2 - x)) / (r cosh(ra/2)) with r = sqrt(j), evaluated as
     sign(a-2x) exp(-r min(x, a-x)) (1 - exp(-r|a-2x|)) / (r (1 + exp(-ra))):
     every exponent is <= 0, so large r*a never overflows, and expm1 keeps
-    the limit b -> a/2 - x as a^2 j -> 0 free of cancellation.
+    the limit b -> a/2 - x as a^2 j -> 0 free of cancellation. The grid
+    must span (0, a) exactly.
     """
-    if not j > 0.0:
-        raise DomainError(f"QFI must be positive, got {j}")
-    if not a > 0.0:
-        raise DomainError(f"support width must be positive, got {a}")
+    if not 0.0 < j < np.inf:
+        raise DomainError(f"QFI must be finite and positive, got {j}")
+    if not (grid.a1 == 0.0 and grid.a2 == a):
+        raise DomainError(f"grid ({grid.a1}, {grid.a2}) must span the support (0, {a})")
     r = np.sqrt(j)
     x = grid.nodes()
     b = np.sign(a - 2.0 * x) * np.exp(-r * np.minimum(x, a - x)) \

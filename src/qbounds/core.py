@@ -39,8 +39,8 @@ class ParameterGrid:
     m: int
 
     def __post_init__(self) -> None:
-        if not self.a2 > self.a1:
-            raise DomainError(f"need a2 > a1, got ({self.a1}, {self.a2})")
+        if not (self.a2 > self.a1 and np.isfinite(self.a2 - self.a1)):
+            raise DomainError(f"need finite a2 > a1, got ({self.a1}, {self.a2})")
         if self.m < 3 or self.m % 2 == 0:
             raise DomainError(f"need odd m >= 3 (Simpson panels), got m={self.m}")
 

@@ -58,7 +58,7 @@ class MmseReport:
 
     estimates: np.ndarray          # posterior mean per outcome count k
     mse: float                     # Bayes risk of the posterior-mean estimator
-    zero_evidence: np.ndarray      # mask: outcome k impossible under the model
+    zero_evidence: np.ndarray      # mask: every cell of outcome k is below 2^-1022
 
 
 # Likelihood cells per block, counted at the widest column band; a column
@@ -141,9 +141,10 @@ def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseRepo
     dropped: memory is O(n) outcome arrays plus one block, never the
     (n+1) x m table. The spreads are merged block by block with the
     pairwise update of Chan, Golub & LeVeque (1979), so no outcome's spread
-    is taken about a far-off point. Outcomes with zero evidence (impossible
-    under the model) get the prior mean as their estimate and carry no
-    weight in the risk.
+    is taken about a far-off point. Outcomes with zero evidence (every
+    likelihood cell below the smallest normal double, so read as 0.0, as
+    for the outcomes the model rules out) get the prior mean as their
+    estimate and carry no weight in the risk.
     """
     _check_inputs(m, prior, n)
     x, p = m.grid.nodes(), prior.samples.values

@@ -81,10 +81,14 @@ def solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.
     return u
 
 
-# A cell whose log-probability is below this rounds to 0.0: exp underflows
-# below log(2^-1075) = -745.13, and the margin covers the rounding of the
-# O(n log n) terms in both the kernel and the bound for n up to ~1e12.
-_LOG_UNDERFLOW = -745.2
+# A cell whose log-probability is below log(2^-1022) = -708.40 reads 0.0, so
+# every cell is 0.0 or a normal double: a subnormal result costs exp about
+# 100x a normal one, and a BLAS product that reads one about 60x.
+_LOG_FLOOR = math.log(np.finfo(float).tiny)
+# binomial_band's edge sits this far below the floor: the margin covers the
+# rounding of the O(n log n) terms in both the kernel and the bound for n up
+# to ~1e12, so every cell outside the band is below the floor.
+_LOG_BAND_EDGE = _LOG_FLOOR - 0.07
 
 
 @functools.lru_cache(maxsize=1)
@@ -112,7 +116,8 @@ def log_binomial_pmf_vector(
     k log(q/(1-q)) + n log1p(-q) + log C(n,k) with q = min(p1, 1 - p1) and
     k mirrored to n - k where p1 > 1/2 (1 - p1 is exact there, so the pair
     (k, p) and (n - k, 1 - p) runs the same arithmetic). A q = 0 column has
-    exact 0/1 cells.
+    exact 0/1 cells. A cell whose log is below _LOG_FLOOR reads exactly 0.0,
+    so every cell is 0.0 or a normal double.
     """
     p1 = np.asarray(p1, dtype=float)
     _check_probabilities(p1)
@@ -132,9 +137,18 @@ def log_binomial_pmf_vector(
         for a, b in zip(edges[:-1], edges[1:]):
             kk = n - k if mirror[a] else k
             block = out[:, a:b]
-            np.multiply.outer(kk, log_odds[a:b], out=block)
+            # a float row spares the outer product an int-to-float cast per cell
+            np.multiply.outer(kk.astype(float), log_odds[a:b], out=block)
             block += log_q0[a:b]
             block += log_c[kk][:, None]
+    # Each column's log-pmf is concave in k, so its smallest cell is in the
+    # first or last row; -inf there (q = 0) already gives exact zeros. Only
+    # where either row holds a finite cell below the floor do cells need
+    # flushing: to -inf, whose exp is an exact 0.0 at a few times the cost of
+    # a normal result and far below that of a subnormal one.
+    ends = out[[0, -1]] if len(out) else out
+    if np.any((ends < _LOG_FLOOR) & (ends > -np.inf)):
+        np.copyto(out, -np.inf, where=out < _LOG_FLOOR)
     return np.exp(out, out=out)
 
 
@@ -148,29 +162,30 @@ def binomial_band(n: int, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per column, the first and last k whose probability may be nonzero.
 
     Outside [lo, hi] the method-of-types bound pmf(k) <= exp(-n KL(k/n||p1))
-    puts every cell below exp(_LOG_UNDERFLOW), so log_binomial_pmf_vector
-    returns exactly 0.0 there. The bound rises monotonically from k = 0 and
-    from k = n towards n p1; where it is above the floor at an end, that end
-    is kept, and elsewhere an integer bisection finds the edge.
+    puts every cell below exp(_LOG_BAND_EDGE), under _LOG_FLOOR, so
+    log_binomial_pmf_vector returns exactly 0.0 there. The bound rises
+    monotonically from k = 0 and from k = n towards n p1; where it is above
+    the edge at an end, that end is kept, and elsewhere an integer bisection
+    finds the edge.
     """
     p1 = np.asarray(p1, dtype=float)
 
     def edge(mean, rest, at_zero):
-        # smallest k with k >= mean or log bound(k) > _LOG_UNDERFLOW, given
+        # smallest k with k >= mean or log bound(k) > _LOG_BAND_EDGE, given
         # the bound at k = 0
         k = np.zeros(p1.shape, dtype=int)
-        # Only columns whose end cell underflows bisect. At small n that is
-        # almost none of them; without the filter every column would take
-        # log2(n) vectorized steps (noon n = 1..30 on 4001 nodes: 9 ms of
-        # binomial_band per sweep would become 60-70 ms).
-        cols = np.flatnonzero(at_zero <= _LOG_UNDERFLOW)
+        # Only columns whose end cell is below the edge bisect. At small n
+        # that is almost none of them; without the filter every column would
+        # take log2(n) vectorized steps (noon n = 1..30 on 4001 nodes: 9 ms
+        # of binomial_band per sweep would become 60-70 ms).
+        cols = np.flatnonzero(at_zero <= _LOG_BAND_EDGE)
         mean, rest = mean[cols], rest[cols]
         bad, good = np.full(cols.size, -1), np.full(cols.size, n)
         while np.any(good - bad > 1):
             mid = (bad + good) // 2
             j = mid.astype(float)
             ok = (j >= mean) | (_xlogy(j, mean) - _xlogy(j, j) + _xlogy(n - j, rest)
-                                - _xlogy(n - j, n - j) > _LOG_UNDERFLOW)
+                                - _xlogy(n - j, n - j) > _LOG_BAND_EDGE)
             good = np.where(ok, mid, good)
             bad = np.where(ok, bad, mid)
         k[cols] = good

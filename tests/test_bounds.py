@@ -134,8 +134,16 @@ class TestClosedFormBias:
             optimal_bias_closed_form(0.0, 1.0, ParameterGrid(0.0, 1.0, 11))
         with pytest.raises(DomainError):
             optimal_bias_closed_form(math.nan, 1.0, ParameterGrid(0.0, 1.0, 11))
+        with pytest.raises(DomainError):  # inf * 0 would be nan at the ends
+            optimal_bias_closed_form(math.inf, 1.0, ParameterGrid(0.0, 1.0, 5))
         with pytest.raises(DomainError):
             optimal_bias_closed_form(1.0, math.nan, ParameterGrid(0.0, 1.0, 11))
+
+    @pytest.mark.parametrize("a, a1, a2", [(2.0, 0.0, 1.0), (math.inf, 0.0, 1.0),
+                                           (1.0, 0.5, 1.0), (1.0, -1.0, 1.0)])
+    def test_grid_off_the_support_rejected(self, a, a1, a2):
+        with pytest.raises(DomainError):
+            optimal_bias_closed_form(1.0, a, ParameterGrid(a1, a2, 5))
 
 
 class TestClosedFormBound:

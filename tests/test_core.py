@@ -26,6 +26,12 @@ class TestParameterGrid:
         with pytest.raises(DomainError, match="a2 > a1"):
             ParameterGrid(1.0, 1.0, 11)
 
+    @pytest.mark.parametrize("a1, a2", [(0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)])
+    def test_infinite_spacing_rejected(self, a1, a2):
+        # nodes a1 + h * i would be nan at i = 0
+        with pytest.raises(DomainError, match="a2 > a1"):
+            ParameterGrid(a1, a2, 5)
+
     @pytest.mark.parametrize("m", [2, 4, 1000, 1])
     def test_bad_node_counts(self, m):
         with pytest.raises(DomainError, match="odd m"):

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ class TestMmseEstimates:
 class TestLogSpaceBayes:
     """Posterior means against Bayes' rule summed in log space."""
 
-    @pytest.mark.parametrize("n", [1, 30, 300])
+    @pytest.mark.parametrize("n", [1, 30, 300, 3000])
     @pytest.mark.parametrize("build", [
         lambda n: noon(n),
         lambda n: dephasing_model(DephasingParams.from_eta(0.8), (0.0, math.pi), 4001, n),
@@ -111,16 +112,22 @@ class TestLogSpaceBayes:
         weights = np.full(grid.m, 2.0)
         weights[1::2] = 4.0
         weights[[0, -1]] = 1.0
-        k = np.arange(n + 1)[:, None]
-        log_joint = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-                     + xlogy(k, p1) + xlogy(n - k, 1.0 - p1)
-                     + np.log(weights * grid.h / 3.0 * problem.prior.samples.values))
-        log_evidence = logsumexp(log_joint, axis=1)
-        means = np.exp(log_joint - log_evidence[:, None]) @ x
+        log_wp = np.log(weights * grid.h / 3.0 * problem.prior.samples.values)
+        means, log_evidence, top = np.empty((3, n + 1))
+        # 500 outcomes at a time keep the n = 3000 tables near 16 MB each
+        for k in np.array_split(np.arange(n + 1), 1 + n // 500):
+            log_pmf = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))[:, None] \
+                + xlogy(k[:, None], p1) + xlogy(n - k[:, None], 1.0 - p1)
+            log_joint = log_pmf + log_wp
+            log_evidence[k] = logsumexp(log_joint, axis=1)
+            means[k] = np.exp(log_joint - log_evidence[k, None]) @ x
+            top[k] = log_pmf.max(axis=1)
         live = log_evidence > math.log(1e-280)
         assert live.sum() > n // 2
-        est = mmse_mse(model, problem.prior, n).estimates
-        np.testing.assert_allclose(est[live], means[live], rtol=1e-12, atol=0)
+        rep = mmse_mse(model, problem.prior, n)
+        np.testing.assert_allclose(rep.estimates[live], means[live], rtol=1e-12, atol=0)
+        # an outcome is flagged only when every one of its cells is below the floor
+        assert np.all(top[rep.zero_evidence] < numerics._LOG_FLOOR)
 
 
 class TestMmseMse:
@@ -239,6 +246,8 @@ BUILDERS = {
 # p = 0, 1, 1/2, the smallest subnormal and normal, and values next to them
 SPECIAL_P = [0.0, 1.0, 0.5, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
              1e-20, 1.0 - 2.0**-53, 1.0 - 1e-16, 0.5 - 2.0**-54, 0.5 + 2.0**-53]
+P1_SAMPLES = st.lists(st.one_of(st.sampled_from(SPECIAL_P), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=6)
 
 
 class TestScipyFreeKernels:
@@ -275,15 +284,28 @@ class TestScipyFreeKernels:
 class TestBandedLikelihood:
     """The banded MMSE routes against the dense likelihood table."""
 
-    @given(
-        n=st.integers(0, 5000),
-        p1=st.lists(st.one_of(st.sampled_from(SPECIAL_P), st.floats(0.0, 1.0)),
-                    min_size=1, max_size=6),
-    )
-    # at k = 0 and k = n the bound is exact: p = 5e-324 gives a cell of e^-744.4
-    # at n = 1, and p = e^-372.53 one of e^-745.06 at n = 2, both nonzero
-    @example(n=1, p1=[5e-324, 1.0 - 2.0**-53])
-    @example(n=2, p1=[math.exp(-372.53), 1.0 - math.exp(-372.53)])
+    def test_floor_is_normal(self):
+        assert np.exp(numerics._LOG_FLOOR) >= sys.float_info.min
+
+    @given(n=st.integers(0, 5000), p1=P1_SAMPLES,
+           cut=st.tuples(st.integers(0, 5000), st.integers(0, 5000)))
+    @example(n=2, p1=[math.exp(-354.19), math.exp(-354.21)], cut=(2, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_cells_are_zero_or_normal(self, n, p1, cut):
+        # a block of rows skips the flush where its end rows allow; the dense
+        # table's rows are the same either way
+        dense = log_binomial_pmf_vector(n, np.array(p1))
+        assert np.all((dense == 0.0) | (dense >= sys.float_info.min))
+        k_lo, k_hi = sorted(c % (n + 1) for c in cut)
+        np.testing.assert_array_equal(
+            log_binomial_pmf_vector(n, np.array(p1), k_lo, k_hi), dense[k_lo:k_hi + 1])
+
+    @given(n=st.integers(0, 5000), p1=P1_SAMPLES)
+    # at k = 0 and k = n the bound is exact: p = e^-708.39 gives a cell of
+    # e^-708.39 at n = 1, and p = e^-354.19 one of e^-708.38 at n = 2, both just
+    # above the floor (-708.396) and so nonzero
+    @example(n=1, p1=[math.exp(-708.39), 1.0 - 2.0**-53])
+    @example(n=2, p1=[math.exp(-354.19), 1.0 - math.exp(-354.19)])
     @example(n=0, p1=[0.0, 0.5, 1.0])
     @example(n=5000, p1=[0.0, 1e-300, 0.5, 1.0])
     @settings(max_examples=150, deadline=None)
