@@ -1,9 +1,9 @@
 """Low-level numerical kernels.
 
 Composite Simpson quadrature, a LAPACK LDL^T factorization (pttrf/pttrs)
-of symmetric positive definite tridiagonal systems, and log-domain binomial
-probabilities. Everything here works on plain arrays; grid-aware wrappers
-live where the grid types do.
+of symmetric positive definite tridiagonal systems, and binomial likelihood
+rows and their exact band from one log-cell formula. Everything here works
+on plain arrays; grid-aware wrappers live where the grid types do.
 
 dpttrf/dpttrs come from scipy's compiled ``_flapack`` extension, loaded by file
 without importing ``scipy.linalg``, which would more than double the start-up
@@ -85,15 +85,15 @@ def solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.
 # every cell is 0.0 or a normal double: a subnormal result costs exp about
 # 100x a normal one, and a BLAS product that reads one about 60x.
 _LOG_FLOOR = math.log(np.finfo(float).tiny)
-# binomial_band's edge sits this far below the floor: the margin covers the
-# rounding of the O(n log n) terms in both the kernel and the bound for n up
-# to ~1e12, so every cell outside the band is below the floor.
+# binomial_band keeps the rows whose log-cell is at or above this edge. The
+# margin covers that one log-cell's rounding: about 2e-4 at n = 1e12, q = 1/2,
+# against a drop of about 7.5e-5 a row there, so the concave cells can wiggle.
 _LOG_BAND_EDGE = _LOG_FLOOR - 0.07
 
 
 @functools.lru_cache(maxsize=1)
 def _log_binomial_coefficients(n: int) -> np.ndarray:
-    """log C(n, k) for k = 0..n, kept for the blocks of one table."""
+    """log C(n, k) for k = 0..n, kept for the band and the blocks of one table."""
     log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)  # log k!
     out = log_fact[n] - log_fact - log_fact[::-1]
     out.flags.writeable = False
@@ -106,33 +106,44 @@ def _check_probabilities(p1: np.ndarray) -> None:
         raise DomainError("p1 samples must lie in [0, 1]")
 
 
+def _column_terms(n: int, p1) -> tuple[np.ndarray, ...]:
+    """Check n >= 0 and p1; per column (q, mirror, log_odds, log_q0), whose
+    log-cell at row k is kk log_odds + log_q0 + log C(n, kk), in that order:
+    q = min(p1, 1 - p1), log_odds = log(q/(1-q)), log_q0 = n log1p(-q), and
+    kk = n - k where mirror (p1 > 1/2; 1 - p1 is exact there, so the pair
+    (k, p) and (n - k, 1 - p) runs the same arithmetic), else kk = k."""
+    if n < 0:
+        raise DomainError(f"repetition count must be >= 0, got {n}")
+    p1 = np.asarray(p1, dtype=float)
+    _check_probabilities(p1)
+    mirror = p1 > 0.5
+    q = np.where(mirror, 1.0 - p1, p1)
+    with np.errstate(divide="ignore"):
+        log_odds = np.log(q / (1.0 - q))
+    # q = 0: a finite stand-in for log 0 keeps 0 * log_odds = 0 at kk = 0
+    np.maximum(log_odds, -np.finfo(float).max, out=log_odds)
+    return q, mirror, log_odds, n * np.log1p(-q)
+
+
 def log_binomial_pmf_vector(
     n: int, p1: np.ndarray, k_lo: int = 0, k_hi: int | None = None
 ) -> np.ndarray:
     """Rows k_lo..k_hi (default 0..n) of the binomial likelihood table.
 
     Returns shape (k_hi - k_lo + 1, len(p1)); cell (k, x) is
-    C(n,k) p1^k (1-p1)^(n-k), computed as one exponential of
-    k log(q/(1-q)) + n log1p(-q) + log C(n,k) with q = min(p1, 1 - p1) and
-    k mirrored to n - k where p1 > 1/2 (1 - p1 is exact there, so the pair
-    (k, p) and (n - k, 1 - p) runs the same arithmetic). A q = 0 column has
-    exact 0/1 cells. A cell whose log is below _LOG_FLOOR reads exactly 0.0,
-    so every cell is 0.0 or a normal double.
+    C(n,k) p1^k (1-p1)^(n-k), one exponential of the log-cell of
+    _column_terms (exact 0/1 cells where q = 0). A cell whose log is below
+    _LOG_FLOOR reads exactly 0.0, so every cell is 0.0 or a normal double.
+    Raises DomainError unless 0 <= k_lo <= k_hi <= n.
     """
-    p1 = np.asarray(p1, dtype=float)
-    _check_probabilities(p1)
-    k = np.arange(k_lo, n + 1 if k_hi is None else k_hi + 1)
-    log_c = _log_binomial_coefficients(n)
-    mirror = p1 > 0.5
-    q = np.where(mirror, 1.0 - p1, p1)
-    with np.errstate(divide="ignore"):
-        log_odds = np.log(q / (1.0 - q))
-    # q = 0: a finite stand-in for log 0 keeps 0 * log_odds = 0 at k = 0
-    np.maximum(log_odds, -np.finfo(float).max, out=log_odds)
-    log_q0 = n * np.log1p(-q)
-    out = np.empty((k.size, p1.size))
+    _, mirror, log_odds, log_q0 = _column_terms(n, p1)
+    k_hi = n if k_hi is None else k_hi
+    if not 0 <= k_lo <= k_hi <= n:
+        raise DomainError(f"rows {k_lo}..{k_hi} must lie within 0..{n}")
+    k = np.arange(k_lo, k_hi + 1)
+    out = np.empty((k.size, mirror.size))
     # contiguous column runs that share one row vector kk = k or n - k
-    edges = [0, *(np.flatnonzero(np.diff(mirror)) + 1), p1.size]
+    edges = [0, *(np.flatnonzero(np.diff(mirror)) + 1), mirror.size]
     with np.errstate(over="ignore"):
         for a, b in zip(edges[:-1], edges[1:]):
             kk = n - k if mirror[a] else k
@@ -140,58 +151,46 @@ def log_binomial_pmf_vector(
             # a float row spares the outer product an int-to-float cast per cell
             np.multiply.outer(kk.astype(float), log_odds[a:b], out=block)
             block += log_q0[a:b]
-            block += log_c[kk][:, None]
+            block += _log_binomial_coefficients(n)[kk][:, None]
     # Each column's log-pmf is concave in k, so its smallest cell is in the
-    # first or last row; -inf there (q = 0) already gives exact zeros. Only
-    # where either row holds a finite cell below the floor do cells need
-    # flushing: to -inf, whose exp is an exact 0.0 at a few times the cost of
-    # a normal result and far below that of a subnormal one.
-    ends = out[[0, -1]] if len(out) else out
+    # first or last row (-inf there, q = 0, gives exact zeros). Only where
+    # those hold a finite cell below the floor are cells flushed, to -inf:
+    # exp gives an exact 0.0 for it, far cheaper than a subnormal result.
+    ends = out[[0, -1]]
     if np.any((ends < _LOG_FLOOR) & (ends > -np.inf)):
         np.copyto(out, -np.inf, where=out < _LOG_FLOOR)
     return np.exp(out, out=out)
 
 
-def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x log y, and 0 where x == 0 (scipy.special.xlogy for y >= 0)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(x == 0, 0.0, x * np.log(y))
-
-
 def binomial_band(n: int, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column, the first and last k whose probability may be nonzero.
+    """Per column, the first and last k whose log-cell is >= _LOG_BAND_EDGE.
 
-    Outside [lo, hi] the method-of-types bound pmf(k) <= exp(-n KL(k/n||p1))
-    puts every cell below exp(_LOG_BAND_EDGE), under _LOG_FLOOR, so
-    log_binomial_pmf_vector returns exactly 0.0 there. The bound rises
-    monotonically from k = 0 and from k = n towards n p1; where it is above
-    the edge at an end, that end is kept, and elsewhere an integer bisection
-    finds the edge.
+    The log-cell is the kernel's own (_column_terms), summed in its order, so
+    every cell outside the band reads 0.0. It is concave in kk and peaks far
+    above the edge at the mode floor((n + 1) q), from which an integer
+    bisection per side finds the edge; mirrored columns map back by k = n - kk.
+    Reads the cached log C(n, k) table: O(n) memory, like the walk that follows.
     """
-    p1 = np.asarray(p1, dtype=float)
+    q, mirror, log_odds, log_q0 = _column_terms(n, p1)
 
-    def edge(mean, rest, at_zero):
-        # smallest k with k >= mean or log bound(k) > _LOG_BAND_EDGE, given
-        # the bound at k = 0
-        k = np.zeros(p1.shape, dtype=int)
-        # Only columns whose end cell is below the edge bisect. At small n
-        # that is almost none of them; without the filter every column would
-        # take log2(n) vectorized steps (noon n = 1..30 on 4001 nodes: 9 ms
-        # of binomial_band per sweep would become 60-70 ms).
-        cols = np.flatnonzero(at_zero <= _LOG_BAND_EDGE)
-        mean, rest = mean[cols], rest[cols]
-        bad, good = np.full(cols.size, -1), np.full(cols.size, n)
-        while np.any(good - bad > 1):
-            mid = (bad + good) // 2
-            j = mid.astype(float)
-            ok = (j >= mean) | (_xlogy(j, mean) - _xlogy(j, j) + _xlogy(n - j, rest)
-                                - _xlogy(n - j, n - j) > _LOG_BAND_EDGE)
-            good = np.where(ok, mid, good)
-            bad = np.where(ok, bad, mid)
-        k[cols] = good
-        return k
+    def kept(kk, cols):
+        log_c = _log_binomial_coefficients(n)[kk]
+        with np.errstate(over="ignore"):  # q = 0: kk * -max overflows to -inf
+            return kk * log_odds[cols] + log_q0[cols] + log_c >= _LOG_BAND_EDGE
 
-    mean, rest = n * p1, n * (1.0 - p1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # n = 0: 0 * -inf is nan,
-        at_k0, at_kn = n * np.log1p(-p1), n * np.log(p1)  # and no column bisects
-    return edge(mean, rest, at_k0), n - edge(rest, mean, at_kn)
+    # Only columns whose end cell is below the edge bisect: at small n almost
+    # none do, and bisecting them all would cost 3x (noon n = 30, 4001 nodes).
+    cols_lo = np.flatnonzero(~kept(0, slice(None)))
+    cols_hi = np.flatnonzero(~kept(n, slice(None)))
+    cols = np.concatenate([cols_lo, cols_hi])
+    # good is kept and bad is not; each side closes in on its edge
+    side = np.repeat([0, 1], [cols_lo.size, cols_hi.size])
+    good, bad = np.floor((n + 1) * q[cols]).astype(int), n * side
+    while np.any((good - bad > 1) | (bad - good > 1)):
+        mid = (good + bad) // 2
+        ok = kept(mid, cols)
+        good, bad = np.where(ok, mid, good), np.where(ok, bad, mid)
+    # a mirrored column's edge in kk is its edge in k on the other side
+    band = np.array([[0], [n]]).repeat(q.size, axis=1)
+    band[np.where(mirror[cols], 1 - side, side), cols] = np.where(mirror[cols], n - good, good)
+    return band[0], band[1]

@@ -251,7 +251,7 @@ P1_SAMPLES = st.lists(st.one_of(st.sampled_from(SPECIAL_P), st.floats(0.0, 1.0))
 
 
 class TestScipyFreeKernels:
-    """numerics' lgamma and numpy xlogy against the scipy.special formulas they replace."""
+    """numerics' lgamma table against the scipy.special formula it replaces."""
 
     @pytest.mark.parametrize("n", [0, 1, 30, 3000, 200000])
     def test_log_binomial_coefficients_match_gammaln(self, n):
@@ -259,26 +259,6 @@ class TestScipyFreeKernels:
         reference = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
         error = np.abs(numerics._log_binomial_coefficients(n) - reference)
         assert error.max() <= 4 * np.spacing(gammaln(n + 1))
-
-    @staticmethod
-    def assert_band_matches_xlogy(monkeypatch, n, p1):
-        band = binomial_band(n, p1)
-        with monkeypatch.context() as patch:
-            patch.setattr(numerics, "_xlogy", xlogy)
-            reference = binomial_band(n, p1)
-        np.testing.assert_array_equal(band[0], reference[0])
-        np.testing.assert_array_equal(band[1], reference[1])
-
-    # the kept cells, and so the work of every banded walk, depend on the band
-    @pytest.mark.parametrize("n", [1, 30, 2000, 3000])
-    @pytest.mark.parametrize("example", ["noon", "dephasing-1.0", "dephasing-0.8", "field"])
-    def test_band_matches_xlogy_on_models(self, monkeypatch, example, n):
-        _, model = BUILDERS[example](4001)
-        self.assert_band_matches_xlogy(monkeypatch, n, model.p1.values)
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 30, 2000, 3000, 5000])
-    def test_band_matches_xlogy_on_special_p(self, monkeypatch, n):
-        self.assert_band_matches_xlogy(monkeypatch, n, np.array(SPECIAL_P))
 
 
 class TestBandedLikelihood:
@@ -301,9 +281,9 @@ class TestBandedLikelihood:
             log_binomial_pmf_vector(n, np.array(p1), k_lo, k_hi), dense[k_lo:k_hi + 1])
 
     @given(n=st.integers(0, 5000), p1=P1_SAMPLES)
-    # at k = 0 and k = n the bound is exact: p = e^-708.39 gives a cell of
-    # e^-708.39 at n = 1, and p = e^-354.19 one of e^-708.38 at n = 2, both just
-    # above the floor (-708.396) and so nonzero
+    # cells just above the floor (-708.396) at k = 0 and k = n, which the band
+    # must keep: p = e^-708.39 gives a cell of e^-708.39 at n = 1, and
+    # p = e^-354.19 one of e^-708.38 at n = 2
     @example(n=1, p1=[math.exp(-708.39), 1.0 - 2.0**-53])
     @example(n=2, p1=[math.exp(-354.19), 1.0 - math.exp(-354.19)])
     @example(n=0, p1=[0.0, 0.5, 1.0])
@@ -316,6 +296,47 @@ class TestBandedLikelihood:
         k = np.arange(n + 1)[:, None]
         assert np.all(dense[(k < lo) | (k > hi)] == 0.0)
         assert np.all((0 <= lo) & (lo <= hi) & (hi <= n))
+
+    @staticmethod
+    def assert_band_is_exact(n, p1):
+        """The band is the first and last row whose log-cell, computed for every
+        row in the kernel's order, is at or above the edge, and every row in
+        between is kept; the kernel's cells are the exp of those log-cells."""
+        _, mirror, log_odds, log_q0 = numerics._column_terms(n, p1)
+        lo, hi = binomial_band(n, p1)
+        k = np.arange(n + 1)[:, None]
+        step = max(1, (1 << 20) // (n + 1))  # columns at a time, to bound memory
+        for a in range(0, p1.size, step):
+            cols = slice(a, a + step)
+            kk = np.where(mirror[cols], n - k, k)
+            with np.errstate(over="ignore"):
+                cells = (kk * log_odds[cols] + log_q0[cols]
+                         + numerics._log_binomial_coefficients(n)[kk])
+            np.testing.assert_array_equal(
+                log_binomial_pmf_vector(n, p1[cols]),
+                np.exp(np.where(cells < numerics._LOG_FLOOR, -np.inf, cells)))
+            keep = cells >= numerics._LOG_BAND_EDGE
+            first, last = keep.argmax(axis=0), n - keep[::-1].argmax(axis=0)
+            np.testing.assert_array_equal(lo[cols], first)
+            np.testing.assert_array_equal(hi[cols], last)
+            np.testing.assert_array_equal(keep.sum(axis=0), last - first + 1)
+
+    # the kept cells, and so the work of every banded walk, depend on the band
+    @pytest.mark.parametrize("n", [1, 30, 2000, 3000])
+    @pytest.mark.parametrize("example", ["noon", "dephasing-1.0", "dephasing-0.8", "field"])
+    def test_band_is_exact_on_models(self, example, n):
+        _, model = BUILDERS[example](4001)
+        self.assert_band_is_exact(n, model.p1.values)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 30, 2000, 3000, 5000])
+    def test_band_is_exact_on_special_p(self, n):
+        self.assert_band_is_exact(n, np.array(SPECIAL_P))
+
+    # where the edge's margin covers the rounding of O(n log n) terms
+    @pytest.mark.parametrize("n", [200000, 1000000])
+    def test_band_is_exact_at_large_n(self, n):
+        p1 = np.array([0.0, 1e-300, 1e-6, 0.3, 0.5, 0.5 + 2.0**-53, 1.0 - 1e-4, 1.0])
+        self.assert_band_is_exact(n, p1)
 
     @staticmethod
     @functools.lru_cache(maxsize=None)

@@ -17,6 +17,7 @@ from qbounds import numerics
 from qbounds.core import ParameterGrid
 from qbounds.errors import DomainError, SingularSystem
 from qbounds.numerics import (
+    binomial_band,
     composite_simpson,
     log_binomial_pmf_vector,
     simpson_weights,
@@ -223,6 +224,18 @@ class TestBinomialPmf:
             log_binomial_pmf_vector(3, np.array([-0.1]))
         with pytest.raises(DomainError):
             log_binomial_pmf_vector(3, np.array([np.nan]))
+        # the band runs the kernel's checks: n >= 0 and p1 in [0, 1]
+        for p1 in ([np.nan, 0.5], [1.5, 0.5], [-0.1, 0.5]):
+            with pytest.raises(DomainError, match=r"p1 samples must lie in \[0, 1\]"):
+                binomial_band(3, np.array(p1))
+        with pytest.raises(DomainError, match="repetition count"):
+            binomial_band(-2, np.array([0.5]))
+        with pytest.raises(DomainError, match="repetition count"):
+            log_binomial_pmf_vector(-1, np.array([0.5]))
+        # rows must satisfy 0 <= k_lo <= k_hi <= n
+        for k_lo, k_hi in [(-1, 1), (0, 5), (2, 1), (4, None)]:
+            with pytest.raises(DomainError, match="rows"):
+                log_binomial_pmf_vector(3, np.array([0.5]), k_lo, k_hi)
 
     @given(
         n=st.integers(0, 200),
