@@ -10,10 +10,11 @@ Subcommands:
 * ``mmse``   - posterior-mean estimates per outcome count at one n; CSV
   ``k,estimate,zero_evidence``.
 
-Every runner returns its rows as tuples in CSV column order, each checked
-by ``_check_row`` as it is produced, and a dict of run-level values
-(``max_ode_residual`` for bounds and bias, ``mse`` for mmse), checked to be
-finite by ``_check_values`` before anything is written. Output is
+Every runner returns its rows as tuples in CSV column order and a dict of
+run-level values (``max_ode_residual`` for bounds and bias, ``mse`` for mmse),
+checked finite by ``_check_values`` before anything is written. Bounds rows
+are checked by ``_check_row`` as produced; bias and mmse columns are screened
+whole, and the first bad row is reported through ``_check_row``. Output is
 deterministic byte-for-byte: each cell is printed with ``%.12g`` (exact for
 the integers below 1e12 that n and k are capped to), rows are ordered by
 axis value, and nothing in the pipeline is random. Every run can also emit
@@ -33,7 +34,10 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
+from itertools import chain, cycle
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .bounds import bayesian_qcrb, obb_variational
@@ -331,14 +335,20 @@ def _check_values(values: dict) -> None:
             raise InvariantViolation(f"{name} is {v}")
 
 
+def _column_rows(command: str, columns: tuple[np.ndarray, ...]) -> list[tuple]:
+    """Rows from whole columns; the first with a non-finite cell goes to _check_row."""
+    for bad in np.flatnonzero(~np.logical_and.reduce([np.isfinite(c) for c in columns]))[:1]:
+        _check_row(command, tuple(c[bad].item() for c in columns))
+    return list(zip(*(c.tolist() for c in columns)))
+
+
 def run_bias_dump(config: RunConfig) -> tuple[list[tuple], dict]:
     """Solved optimal bias next to the MMSE estimator bias at one n."""
     problem, model, n = _measured_point(config)
     report = obb_variational(problem)
     bias_mmse = estimator_bias(model, mmse_mse(model, problem.prior, n).estimates)
     columns = (problem.grid.nodes(), report.bias.values, bias_mmse.values)
-    rows = [_check_row("bias", row)
-            for row in zip(*(c[::config.stride].tolist() for c in columns))]
+    rows = _column_rows("bias", tuple(c[::config.stride] for c in columns))
     return rows, {"max_ode_residual": report.residual}
 
 
@@ -346,9 +356,8 @@ def run_mmse(config: RunConfig) -> tuple[list[tuple], dict]:
     """Posterior-mean estimates for one n; the risk is a run-level value."""
     problem, model, n = _measured_point(config)
     rep = mmse_mse(model, problem.prior, n)
-    estimates, zero = rep.estimates.tolist(), rep.zero_evidence.tolist()
-    rows = [_check_row("mmse", (k, estimates[k], int(zero[k]))) for k in range(n + 1)]
-    return rows, {"mse": rep.mse}
+    columns = (np.arange(n + 1), rep.estimates, rep.zero_evidence.astype(int))
+    return _column_rows("mmse", columns), {"mse": rep.mse}
 
 
 _CSV_COLUMNS = {
@@ -359,10 +368,11 @@ _CSV_COLUMNS = {
 
 
 def render_csv(command: str, rows: list[tuple]) -> str:
-    """The CSV text: a header, then each cell as %.12g, None as empty."""
-    return "\n".join([",".join(_CSV_COLUMNS[command]), *[
-        ",".join(["" if v is None else "%.12g" % v for v in row]) for row in rows
-    ]]) + "\n"
+    """The CSV text: a header, then each cell as %.12g, None as empty, in one % pass."""
+    header = ",".join(_CSV_COLUMNS[command])
+    formats = cycle([("%.12g" + sep, sep) for sep in [","] * header.count(",") + ["\n"]])
+    template = "".join([f[v is None] for v, f in zip(chain.from_iterable(rows), formats)])
+    return header + "\n" + template % tuple([v for row in rows for v in row if v is not None])
 
 
 def emit_report(config: RunConfig, command: str, rows: list[tuple],

@@ -102,7 +102,7 @@ def _log_binomial_coefficients(n: int) -> np.ndarray:
 
 def _check_probabilities(p1: np.ndarray) -> None:
     """Raise DomainError unless every sample lies in [0, 1]; nan fails too."""
-    if not (p1.min() >= 0.0 and p1.max() <= 1.0):
+    if p1.size and not (p1.min() >= 0.0 and p1.max() <= 1.0):
         raise DomainError("p1 samples must lie in [0, 1]")
 
 
@@ -143,7 +143,7 @@ def log_binomial_pmf_vector(
     k = np.arange(k_lo, k_hi + 1)
     out = np.empty((k.size, mirror.size))
     # contiguous column runs that share one row vector kk = k or n - k
-    edges = [0, *(np.flatnonzero(np.diff(mirror)) + 1), mirror.size]
+    edges = [0, *(np.flatnonzero(np.diff(mirror)) + 1), mirror.size] if mirror.size else []
     with np.errstate(over="ignore"):
         for a, b in zip(edges[:-1], edges[1:]):
             kk = n - k if mirror[a] else k

@@ -3,13 +3,23 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbounds.cli import _check_row, build_config, main, make_parser, render_csv
+from qbounds import cli
+from qbounds.cli import (
+    _check_row,
+    _column_rows,
+    build_config,
+    main,
+    make_parser,
+    render_csv,
+)
+from qbounds.core import GridFunction
 from qbounds.errors import ConfigError, InvariantViolation
 
 # small grid keeps the CLI suite fast; still odd and Simpson-compatible
@@ -626,9 +636,63 @@ class TestOutputContract:
         with pytest.raises(InvariantViolation, match=message):
             _check_row("bounds", row)
 
-    def test_report_rows_are_csv_rows(self, tmp_path):
+    def test_column_screen_reports_first_bad_row(self):
+        x, opt, mmse = np.arange(10) * 0.25, np.zeros(10), np.zeros(10)
+        # row 3 holds two bad cells and row 7 one; the first of row 3 is named
+        opt[3], mmse[3], opt[7] = math.nan, math.inf, math.inf
+        with pytest.raises(InvariantViolation, match=r"^x=0\.75: bias_opt is nan$"):
+            _column_rows("bias", (x, opt, mmse))
+        estimates = np.array([0.5, 0.25, math.nan, math.nan])
+        with pytest.raises(InvariantViolation, match=r"^k=2: estimate is nan$"):
+            _column_rows("mmse", (np.arange(4), estimates, np.zeros(4, dtype=int)))
+
+    def test_column_rows_are_python_scalars(self):
+        rows = _column_rows("mmse", (np.arange(2), np.array([0.5, 1.0]), np.array([0, 1])))
+        assert rows == [(0, 0.5, 0), (1, 1.0, 1)]
+        assert [type(v) for v in rows[1]] == [int, float, int]
+
+    @pytest.mark.parametrize("command, target, message", [
+        ("bias", "estimator_bias", "bias_mmse is nan"),
+        ("mmse", "mmse_mse", "k=2: estimate is nan"),
+    ])
+    def test_non_finite_column_exits_4(self, tmp_path, capsys, monkeypatch,
+                                       command, target, message):
+        real = getattr(cli, target)
+
+        def inject_nan(*args):
+            # the bias curve at node 2, or the estimate of outcome k = 2
+            result = real(*args)
+            if target == "estimator_bias":
+                values = result.values.copy()
+                values[2] = math.nan
+                return GridFunction(result.grid, values)
+            estimates = result.estimates.copy()
+            estimates[2] = math.nan
+            return replace(result, estimates=estimates)
+
+        monkeypatch.setattr(cli, target, inject_nan)
         code, csv_text, doc = run(
-            tmp_path, "mmse", "--example", "dephasing", "--n", "3", *GRID)
+            tmp_path, command, "--example", "noon", "--n", "4", *GRID)
+        assert code == 4
+        assert csv_text is None and doc is None
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("qbounds: output invariant violated: ") and message in err
+
+    @pytest.mark.parametrize("argv, run_value", [
+        (("mmse", "--example", "dephasing", "--n", "3", *GRID), "mse"),
+        (("bias", "--example", "noon", "--n", "1", "--grid", "4001", "--stride", "1"),
+         "max_ode_residual"),
+        (("mmse", "--example", "dephasing", "--n", "3000"), "mse"),
+    ])
+    def test_report_rows_are_csv_rows(self, tmp_path, argv, run_value):
+        code, csv_text, doc = run(tmp_path, *argv)
         assert code == 0
-        assert render_csv("mmse", doc["rows"]) == csv_text
-        assert set(doc["diagnostics"]) == {"mse", "grid_m", "wall_time_ms"}
+        # the reference formatter, applied to the report's rows cell by cell
+        expected = [",".join(cli._CSV_COLUMNS[argv[0]])] + [
+            ",".join("" if v is None else format(float(v), ".12g") for v in row)
+            for row in doc["rows"]
+        ]
+        assert csv_text == "\n".join(expected) + "\n"
+        assert render_csv(argv[0], doc["rows"]) == csv_text
+        assert set(doc["diagnostics"]) == {run_value, "grid_m", "wall_time_ms"}

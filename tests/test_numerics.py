@@ -255,6 +255,13 @@ class TestBinomialPmf:
         table = log_binomial_pmf_vector(n, np.array([p, 1.0 - p]))
         assert table[k, 0] == pytest.approx(table[n - k, 1], rel=1e-13, abs=1e-300)
 
+    def test_empty_p1(self):
+        # no columns is no error: a (rows, 0) table and two empty int bands
+        assert log_binomial_pmf_vector(3, np.array([])).shape == (4, 0)
+        assert log_binomial_pmf_vector(3, np.array([]), 1, 2).shape == (2, 0)
+        for edge in binomial_band(3, np.array([])):
+            assert edge.shape == (0,) and edge.dtype.kind == "i"
+
     def test_row_range(self):
         p1 = np.array([0.0, 0.3, 0.5, 0.8, 1.0])
         full = log_binomial_pmf_vector(40, p1)
