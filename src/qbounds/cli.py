@@ -10,18 +10,16 @@ Subcommands:
 * ``mmse``   - posterior-mean estimates per outcome count at one n; CSV
   ``k,estimate,zero_evidence``.
 
-Every runner returns its rows as tuples in CSV column order and a dict of
-run-level values (``max_ode_residual`` for bounds and bias, ``mse`` for mmse),
-checked finite by ``_check_values`` before anything is written. Bounds rows
-are checked by ``_check_row`` as produced; bias and mmse columns are screened
-whole, and the first bad row is reported through ``_check_row``. Output is
-deterministic byte-for-byte: each cell is printed with ``%.12g`` (exact for
-the integers below 1e12 that n and k are capped to), rows are ordered by
-axis value, and nothing in the pipeline is random. Every run can also emit
-a JSON report (``--report``) whose ``rows`` are the CSV rows, whose
-``diagnostics`` hold the run-level values, and whose config echo reproduces
-the identical CSV when fed back through ``--config``. A config file holds
-the echo's keys only; the flags given override them.
+Every runner returns its output as columns in CSV column order (None for
+one the run lacks) and its run-level values (``max_ode_residual`` for bounds
+and bias, ``mse`` for mmse), checked by ``_check_values``. ``_check_row``
+states the output invariants; bounds calls it on each row as it is solved,
+bias and mmse once on their columns. Each cell prints as ``%.12g`` (exact
+for the integers below 1e12 that n and k are capped to), rows are ordered by
+axis value, and nothing is random, so output is deterministic. The JSON
+report (``--report``) holds the run-level values and the row count; its
+config echo replays the identical CSV through ``--config``. A config file
+holds the echo's keys only; the flags given override them.
 
 Exit codes: 0 success, 2 configuration error (or unwritable output), 3
 numerical failure (or out of memory), 4 invariant violation in the rows.
@@ -34,7 +32,6 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, cycle
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -284,7 +281,7 @@ def _measured_point(config: RunConfig):
     return problem, model, n
 
 
-def run_bounds_sweep(config: RunConfig) -> tuple[list[tuple], dict]:
+def run_bounds_sweep(config: RunConfig) -> tuple[list, dict]:
     """One row per axis value (n, or the sweep parameter at fixed n)."""
     rows = []
     if config.sweep is not None:
@@ -305,26 +302,32 @@ def run_bounds_sweep(config: RunConfig) -> tuple[list[tuple], dict]:
         if model is not None:
             mmse = mmse_mse(model, problem.prior, n).mse
         rows.append(_check_row("bounds", (axis, qcrb, obb.value, mmse, obb.residual)))
-    return rows, {"max_ode_residual": max(row[-1] for row in rows)}
+    # an example has a measurement model at every point or at none
+    columns = [None if col[0] is None else np.array(col) for col in zip(*rows)]
+    return columns, {"max_ode_residual": max(row[-1] for row in rows)}
 
 
-def _check_row(command: str, row: tuple) -> tuple:
-    """The output invariants of one row of ``command``; returns the row.
+def _check_row(command: str, row) -> tuple:
+    """The output invariants of ``command``'s rows; returns ``row``.
 
-    Every non-empty cell is finite, and a bounds row keeps obb <= qcrb and
-    obb <= mmse within their tolerances. Raises InvariantViolation.
+    The cells, in CSV column order, are numbers or whole columns (None: empty).
+    Each is finite, and bounds keep obb <= qcrb and obb <= mmse within their
+    tolerances. Raises InvariantViolation at the first failing row.
     """
-    cols = _CSV_COLUMNS[command]
-    for name, v in zip(cols, row):
-        if v is not None and not math.isfinite(v):
-            raise InvariantViolation(f"{cols[0]}={row[0]}: {name} is {v}")
+    cells = {k: v for k, v in zip(_CSV_COLUMNS[command], row) if v is not None}
+    checks = [(f"{name} is {{{name}}}", ~np.isfinite(v)) for name, v in cells.items()]
     if command == "bounds":
-        axis, qcrb, obb, mmse, _ = row
-        if obb > qcrb + _OBB_VS_QCRB_TOL:
-            raise InvariantViolation(f"axis={axis}: obb {obb!r} exceeds qcrb {qcrb!r}")
-        if mmse is not None and obb > mmse + min(_OBB_VS_MMSE_TOL,
-                                                 _OBB_VS_MMSE_RTOL * mmse):
-            raise InvariantViolation(f"axis={axis}: obb {obb!r} exceeds mmse {mmse!r}")
+        obb, mmse = cells["obb"], cells.get("mmse", math.inf)  # no mmse bounds nothing
+        checks += [("obb {obb!r} exceeds qcrb {qcrb!r}",
+                    obb > cells["qcrb"] + _OBB_VS_QCRB_TOL),
+                   ("obb {obb!r} exceeds mmse {mmse!r}",
+                    obb > mmse + np.minimum(_OBB_VS_MMSE_TOL, _OBB_VS_MMSE_RTOL * mmse))]
+    for i in np.flatnonzero(np.logical_or.reduce([bad for _, bad in checks]))[:1]:
+        # .item(): under numpy 2 a numpy scalar's repr reads np.float64(...)
+        at = {name: np.ravel(v)[i].item() for name, v in cells.items()}
+        text = next(text for text, bad in checks if np.ravel(bad)[i])
+        first = next(iter(at))
+        raise InvariantViolation(f"{first}={at[first]}: " + text.format(**at))
     return row
 
 
@@ -335,29 +338,22 @@ def _check_values(values: dict) -> None:
             raise InvariantViolation(f"{name} is {v}")
 
 
-def _column_rows(command: str, columns: tuple[np.ndarray, ...]) -> list[tuple]:
-    """Rows from whole columns; the first with a non-finite cell goes to _check_row."""
-    for bad in np.flatnonzero(~np.logical_and.reduce([np.isfinite(c) for c in columns]))[:1]:
-        _check_row(command, tuple(c[bad].item() for c in columns))
-    return list(zip(*(c.tolist() for c in columns)))
-
-
-def run_bias_dump(config: RunConfig) -> tuple[list[tuple], dict]:
+def run_bias_dump(config: RunConfig) -> tuple[list, dict]:
     """Solved optimal bias next to the MMSE estimator bias at one n."""
     problem, model, n = _measured_point(config)
     report = obb_variational(problem)
     bias_mmse = estimator_bias(model, mmse_mse(model, problem.prior, n).estimates)
-    columns = (problem.grid.nodes(), report.bias.values, bias_mmse.values)
-    rows = _column_rows("bias", tuple(c[::config.stride] for c in columns))
-    return rows, {"max_ode_residual": report.residual}
+    columns = [c[::config.stride] for c in
+               (problem.grid.nodes(), report.bias.values, bias_mmse.values)]
+    return _check_row("bias", columns), {"max_ode_residual": report.residual}
 
 
-def run_mmse(config: RunConfig) -> tuple[list[tuple], dict]:
+def run_mmse(config: RunConfig) -> tuple[list, dict]:
     """Posterior-mean estimates for one n; the risk is a run-level value."""
     problem, model, n = _measured_point(config)
     rep = mmse_mse(model, problem.prior, n)
-    columns = (np.arange(n + 1), rep.estimates, rep.zero_evidence.astype(int))
-    return _column_rows("mmse", columns), {"mse": rep.mse}
+    columns = [np.arange(n + 1), rep.estimates, rep.zero_evidence.astype(int)]
+    return _check_row("mmse", columns), {"mse": rep.mse}
 
 
 _CSV_COLUMNS = {
@@ -367,21 +363,24 @@ _CSV_COLUMNS = {
 }
 
 
-def render_csv(command: str, rows: list[tuple]) -> str:
-    """The CSV text: a header, then each cell as %.12g, None as empty, in one % pass."""
-    header = ",".join(_CSV_COLUMNS[command])
-    formats = cycle([("%.12g" + sep, sep) for sep in [","] * header.count(",") + ["\n"]])
-    template = "".join([f[v is None] for v, f in zip(chain.from_iterable(rows), formats)])
-    return header + "\n" + template % tuple([v for row in rows for v in row if v is not None])
+def render_csv(command: str, columns: list) -> str:
+    """The CSV text: a header, then one line per row of ``columns``.
+
+    One row template, %.12g per column and empty for a None column, is
+    filled in one % pass; integer columns print as floats, all below 2^53.
+    """
+    present = [c for c in columns if c is not None]
+    line = ",".join("" if c is None else "%.12g" for c in columns) + "\n"
+    cells = tuple(np.column_stack(present).ravel().tolist())
+    return ",".join(_CSV_COLUMNS[command]) + "\n" + (line * len(present[0])) % cells
 
 
-def emit_report(config: RunConfig, command: str, rows: list[tuple],
+def emit_report(config: RunConfig, command: str, row_count: int,
                 values: dict, wall_time_ms: float) -> dict:
     return {
         "config": {**asdict(config), "command": command},
-        "rows": rows,
         "diagnostics": {**values, "grid_m": config.grid_points,
-                        "wall_time_ms": wall_time_ms},
+                        "wall_time_ms": wall_time_ms, "row_count": row_count},
         "version": __version__,
     }
 
@@ -434,12 +433,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = build_config(args)
         start = time.perf_counter()
-        rows, values = _RUNNERS[args.command](config)
+        columns, values = _RUNNERS[args.command](config)
         _check_values(values)
         wall_ms = (time.perf_counter() - start) * 1e3
-        _write(args.out, render_csv(args.command, rows))
+        _write(args.out, render_csv(args.command, columns))
         if args.report:
-            doc = emit_report(config, args.command, rows, values, wall_ms)
+            doc = emit_report(config, args.command, len(columns[0]), values, wall_ms)
             _write(args.report, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     except InvariantViolation as exc:
         print(f"qbounds: output invariant violated: {exc}", file=sys.stderr)

@@ -7,13 +7,12 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qbounds import cli
 from qbounds.cli import (
     _check_row,
-    _column_rows,
     build_config,
     main,
     make_parser,
@@ -589,19 +588,31 @@ class TestParameterChecks:
         assert csv2 == csv_text
 
 
+@st.composite
+def csv_columns(draw):
+    """Three columns of 0-20 rows, each None, finite floats or ints; one present."""
+    rows = draw(st.integers(0, 20))
+    kinds = [st.none(),
+             st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=rows, max_size=rows).map(np.array),
+             st.lists(st.integers(0, 999_999_999_999),
+                      min_size=rows, max_size=rows).map(lambda v: np.array(v, dtype=int))]
+    columns = draw(st.lists(st.one_of(kinds), min_size=3, max_size=3))
+    assume(any(c is not None for c in columns))
+    return rows, columns
+
+
 class TestOutputContract:
-    @given(st.lists(st.lists(
-        st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                  st.integers(0, 999_999_999_999), st.none()),
-        min_size=3, max_size=3), max_size=20))
+    @given(csv_columns())
     @settings(max_examples=200, deadline=None)
-    def test_render_csv_matches_format_reference(self, rows):
+    def test_render_csv_matches_format_reference(self, drawn):
+        rows, columns = drawn
         # the reference formatter the CSV has always been defined by
         expected = ["x,bias_opt,bias_mmse"] + [
-            ",".join("" if v is None else format(float(v), ".12g") for v in row)
-            for row in rows
+            ",".join("" if c is None else format(float(c[i]), ".12g") for c in columns)
+            for i in range(rows)
         ]
-        assert render_csv("bias", rows) == "\n".join(expected) + "\n"
+        assert render_csv("bias", columns) == "\n".join(expected) + "\n"
 
     @pytest.mark.parametrize("command, row, message", [
         ("bounds", (1.0, 0.01, 0.005, math.nan, 1e-12), "axis=1.0: mmse is nan"),
@@ -641,15 +652,22 @@ class TestOutputContract:
         # row 3 holds two bad cells and row 7 one; the first of row 3 is named
         opt[3], mmse[3], opt[7] = math.nan, math.inf, math.inf
         with pytest.raises(InvariantViolation, match=r"^x=0\.75: bias_opt is nan$"):
-            _column_rows("bias", (x, opt, mmse))
+            _check_row("bias", [x, opt, mmse])
         estimates = np.array([0.5, 0.25, math.nan, math.nan])
         with pytest.raises(InvariantViolation, match=r"^k=2: estimate is nan$"):
-            _column_rows("mmse", (np.arange(4), estimates, np.zeros(4, dtype=int)))
-
-    def test_column_rows_are_python_scalars(self):
-        rows = _column_rows("mmse", (np.arange(2), np.array([0.5, 1.0]), np.array([0, 1])))
-        assert rows == [(0, 0.5, 0), (1, 1.0, 1)]
-        assert [type(v) for v in rows[1]] == [int, float, int]
+            _check_row("mmse", [np.arange(4), estimates, np.zeros(4, dtype=int)])
+        # bounds: obb above qcrb at row 1 comes before the nan qcrb at row 2
+        axis, qcrb = np.array([1.0, 2.0, 3.0]), np.array([0.01, 0.01, math.nan])
+        obb, residual = np.array([0.005, 0.02, 0.005]), np.zeros(3)
+        with pytest.raises(InvariantViolation,
+                           match=r"^axis=2\.0: obb 0\.02 exceeds qcrb 0\.01$"):
+            _check_row("bounds", [axis, qcrb, obb, None, residual])
+        # a None mmse column is skipped, and a finite one is ordered
+        columns = [axis[:1], qcrb[:1], obb[:1], None, residual[:1]]
+        assert _check_row("bounds", columns) is columns
+        with pytest.raises(InvariantViolation, match=r"^axis=1\.0: obb .* exceeds mmse"):
+            _check_row("bounds", [axis[:1], qcrb[:1], obb[:1], np.array([0.001]),
+                                  residual[:1]])
 
     @pytest.mark.parametrize("command, target, message", [
         ("bias", "estimator_bias", "bias_mmse is nan"),
@@ -684,15 +702,35 @@ class TestOutputContract:
         (("bias", "--example", "noon", "--n", "1", "--grid", "4001", "--stride", "1"),
          "max_ode_residual"),
         (("mmse", "--example", "dephasing", "--n", "3000"), "mse"),
+        (("bounds", "--example", "interferometer", "--n-range", "1:3", *GRID),
+         "max_ode_residual"),
     ])
-    def test_report_rows_are_csv_rows(self, tmp_path, argv, run_value):
+    def test_report_counts_csv_rows(self, tmp_path, argv, run_value):
         code, csv_text, doc = run(tmp_path, *argv)
         assert code == 0
-        # the reference formatter, applied to the report's rows cell by cell
-        expected = [",".join(cli._CSV_COLUMNS[argv[0]])] + [
-            ",".join("" if v is None else format(float(v), ".12g") for v in row)
-            for row in doc["rows"]
-        ]
-        assert csv_text == "\n".join(expected) + "\n"
-        assert render_csv(argv[0], doc["rows"]) == csv_text
-        assert set(doc["diagnostics"]) == {run_value, "grid_m", "wall_time_ms"}
+        # the CSV is the one copy of the rows; the report counts them
+        assert set(doc) == {"config", "diagnostics", "version"}
+        assert set(doc["diagnostics"]) == {run_value, "grid_m", "wall_time_ms",
+                                           "row_count"}
+        assert doc["diagnostics"]["row_count"] + 1 == len(csv_text.splitlines())
+
+    def test_bounds_sweep_stops_at_first_bad_row(self, tmp_path, capsys, monkeypatch):
+        real, solved = cli.obb_variational, []
+
+        def above_qcrb_at_n2(problem):
+            # the 2nd of 3 points reports an obb above its qcrb
+            report = real(problem)
+            solved.append(report)
+            if len(solved) == 2:
+                return replace(report, value=2.0 * cli.bayesian_qcrb(problem).value)
+            return report
+
+        monkeypatch.setattr(cli, "obb_variational", above_qcrb_at_n2)
+        code, csv_text, doc = run(
+            tmp_path, "bounds", "--example", "noon", "--n-range", "1:3", *GRID)
+        assert code == 4
+        assert csv_text is None and doc is None
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "axis=2.0: obb" in err and "exceeds qcrb" in err
+        assert len(solved) == 2
