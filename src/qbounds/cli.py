@@ -1,6 +1,6 @@
-"""Command-line front end.
+"""Command-line front end: ``qbounds COMMAND [flags]``.
 
-Subcommands:
+Commands (one positional word, before, between or after the flags):
 
 * ``bounds`` - sweep the QCRB, the variational OBB, and (when the example has
   a measurement law) the MMSE risk over n or over a secondary parameter axis;
@@ -19,7 +19,9 @@ for the integers below 1e12 that n and k are capped to), rows are ordered by
 axis value, and nothing is random, so output is deterministic. The JSON
 report (``--report``) holds the run-level values and the row count; its
 config echo replays the identical CSV through ``--config``. A config file
-holds the echo's keys only; the flags given override them.
+holds the echo's keys only; the flags given override them. Values stay
+text in the parser and ``build_config`` checks each, from a flag or the
+file, once: a bad ``--example`` gets the config file's one-line error.
 
 Exit codes: 0 success, 2 configuration error (or unwritable output), 3
 numerical failure (or out of memory), 4 invariant violation in the rows.
@@ -342,7 +344,7 @@ def run_bias_dump(config: RunConfig) -> tuple[list, dict]:
     """Solved optimal bias next to the MMSE estimator bias at one n."""
     problem, model, n = _measured_point(config)
     report = obb_variational(problem)
-    bias_mmse = estimator_bias(model, mmse_mse(model, problem.prior, n).estimates)
+    bias_mmse = estimator_bias(model, problem.prior, n)
     columns = [c[::config.stride] for c in
                (problem.grid.nodes(), report.bias.values, bias_mmse.values)]
     return _check_row("bias", columns), {"max_ode_residual": report.residual}
@@ -375,16 +377,6 @@ def render_csv(command: str, columns: list) -> str:
     return ",".join(_CSV_COLUMNS[command]) + "\n" + (line * len(present[0])) % cells
 
 
-def emit_report(config: RunConfig, command: str, row_count: int,
-                values: dict, wall_time_ms: float) -> dict:
-    return {
-        "config": {**asdict(config), "command": command},
-        "diagnostics": {**values, "grid_m": config.grid_points,
-                        "wall_time_ms": wall_time_ms, "row_count": row_count},
-        "version": __version__,
-    }
-
-
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -402,26 +394,20 @@ def make_parser() -> argparse.ArgumentParser:
         description="MSE lower bounds and Bayesian MMSE simulation for "
         "quantum parameter estimation",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("bounds", "sweep QCRB / OBB / MMSE over n or a parameter axis"),
-        ("bias", "dump optimal-bias and estimator-bias curves at one n"),
-        ("mmse", "posterior-mean estimates per outcome count at one n"),
+    parser.add_argument(
+        "command", choices=_RUNNERS,
+        help="bounds: QCRB, OBB and MMSE over n or a parameter axis; "
+        "bias: optimal-bias and estimator-bias curves at one n; "
+        "mmse: posterior-mean estimates per outcome count at one n")
+    # one flag set for all three commands; values stay text for build_config
+    for flag, metavar in (
+        ("--example", "{%s}" % ",".join(_EXAMPLES)), ("--n", "N"),
+        ("--n-range", "MIN:MAX"), ("--prior", "A1:A2"), ("--grid", "M"),
+        ("--sweep", "KEY=V1,V2,..."), ("--stride", "K"), ("--out", "PATH"),
+        ("--report", "PATH"), ("--config", "PATH"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        # values stay text here: build_config checks them with _number, like
-        # the same values from the config file
-        p.add_argument("--example", choices=_EXAMPLES)
-        p.add_argument("--n", default=None)
-        p.add_argument("--n-range", default=None, metavar="MIN:MAX")
-        p.add_argument("--prior", default=None, metavar="A1:A2")
-        p.add_argument("--grid", default=None, metavar="M")
-        p.add_argument("--param", action="append", metavar="KEY=VALUE")
-        p.add_argument("--sweep", default=None, metavar="KEY=V1,V2,...")
-        p.add_argument("--stride", default=None)
-        p.add_argument("--out", default=None, metavar="PATH")
-        p.add_argument("--report", default=None, metavar="PATH")
-        p.add_argument("--config", default=None, metavar="PATH")
+        parser.add_argument(flag, metavar=metavar)
+    parser.add_argument("--param", action="append", metavar="KEY=VALUE")
     return parser
 
 
@@ -438,7 +424,11 @@ def main(argv: list[str] | None = None) -> int:
         wall_ms = (time.perf_counter() - start) * 1e3
         _write(args.out, render_csv(args.command, columns))
         if args.report:
-            doc = emit_report(config, args.command, len(columns[0]), values, wall_ms)
+            doc = {"config": {**asdict(config), "command": args.command},
+                   "diagnostics": {**values, "grid_m": config.grid_points,
+                                   "wall_time_ms": wall_ms,
+                                   "row_count": len(columns[0])},
+                   "version": __version__}
             _write(args.report, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     except InvariantViolation as exc:
         print(f"qbounds: output invariant violated: {exc}", file=sys.stderr)

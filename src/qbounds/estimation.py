@@ -6,12 +6,13 @@ so the outcome space is n+1 values instead of 2^n sequences). The posterior
 mean per k is the MMSE estimate. ``mmse_mse`` is the one MMSE entry point:
 one pass over the banded likelihood blocks returns the estimates, their
 Bayes risk and the zero-evidence mask, holding one block at a time.
-``estimator_bias`` walks the blocks again for the bias curve of given
-estimates. ``mse_via_decomposition`` recomputes the risk as variance plus
-squared bias over the dense (n+1) x m likelihood table, as an independent
-check. Every integral is Simpson quadrature on the shared grid. No Monte
-Carlo anywhere, so every quantity is deterministic and testable to tight
-tolerances.
+``estimator_bias`` gives the same estimator's bias curve from two walks:
+the estimates, summed as ``mmse_mse`` sums them but with no spread, then
+their mean per column. ``mse_via_decomposition`` recomputes the risk as
+variance plus squared bias over the dense (n+1) x m likelihood table, as an
+independent check. Every integral is Simpson quadrature on the shared
+grid. No Monte Carlo anywhere, so every quantity is deterministic and
+testable to tight tolerances.
 """
 from __future__ import annotations
 
@@ -87,11 +88,14 @@ def _likelihood_blocks(m: BinaryMeasurementModel, n: int):
         yield cols, k_lo, log_binomial_pmf_vector(n, p1[cols], k_lo, k_hi)
 
 
-def _check_inputs(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> None:
+def _prior_weights(m: BinaryMeasurementModel, prior: PriorDensity, n: int):
+    """(nodes x, Simpson weights times the prior density) once n >= 0 and
+    the model and prior share one grid; raises DomainError otherwise."""
     if n < 0:
         raise DomainError(f"repetition count must be >= 0, got {n}")
     if m.grid != prior.grid:
         raise DomainError("measurement model and prior must share one grid")
+    return m.grid.nodes(), simpson_weights(m.grid.m, m.grid.h) * prior.samples.values
 
 
 def _posterior_means(evidence, first_moment, prior_mean):
@@ -146,9 +150,7 @@ def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseRepo
     for the outcomes the model rules out) get the prior mean as their
     estimate and carry no weight in the risk.
     """
-    _check_inputs(m, prior, n)
-    x, p = m.grid.nodes(), prior.samples.values
-    wp = simpson_weights(m.grid.m, m.grid.h) * p
+    x, wp = _prior_weights(m, prior, n)
     weights = np.column_stack([wp, wp * x])
     # the O(n) outcome sums come first, so a hopeless n fails before any block
     evidence, first_moment, spread = np.zeros((3, n + 1))
@@ -169,16 +171,24 @@ def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseRepo
     return MmseReport(estimates, float(spread.sum()), zero)
 
 
-def estimator_bias(m: BinaryMeasurementModel, estimates: np.ndarray) -> GridFunction:
-    """Bias curve E[x_hat | x] - x of the estimates x_hat(k), k = 0..n.
+def estimator_bias(
+    m: BinaryMeasurementModel, prior: PriorDensity, n: int
+) -> GridFunction:
+    """Bias curve E[x_hat | x] - x of the posterior-mean estimator x_hat(k).
 
-    A second walk over the banded likelihood blocks of n = len(estimates) - 1
-    repetitions; every cell outside them is 0.
+    Two walks over the banded likelihood blocks of n repetitions: the
+    first sums each outcome's evidence and first moment with mmse_mse's
+    products in its order, so the estimates are mmse_mse's to the bit, but
+    takes no spread; the second averages the estimates over each column.
     """
-    n = len(estimates) - 1
-    if n < 0:
-        raise DomainError("need an estimate for each outcome count k = 0..n")
-    x = m.grid.nodes()
+    x, wp = _prior_weights(m, prior, n)
+    weights = np.column_stack([wp, wp * x])
+    evidence, first_moment = np.zeros((2, n + 1))
+    for cols, k_lo, block in _likelihood_blocks(m, n):
+        part = block @ weights[cols]
+        evidence[k_lo:k_lo + len(block)] += part[:, 0]
+        first_moment[k_lo:k_lo + len(block)] += part[:, 1]
+    estimates, _ = _posterior_means(evidence, first_moment, wp @ x)
     conditional_mean = np.empty(m.grid.m)
     for cols, k_lo, block in _likelihood_blocks(m, n):
         conditional_mean[cols] = estimates[k_lo:k_lo + len(block)] @ block
@@ -193,13 +203,11 @@ def mse_via_decomposition(
     \\int p(x) [ Var(x_hat | x) + bias(x)^2 ] dx over the dense likelihood
     table; independent route used to cross-check mmse_mse.
     """
-    _check_inputs(m, prior, n)
-    x, p = m.grid.nodes(), prior.samples.values
-    wp = simpson_weights(m.grid.m, m.grid.h) * p
+    x, wp = _prior_weights(m, prior, n)
     like = log_binomial_pmf_vector(n, m.p1.values)      # (n+1, m)
     estimates, _ = _posterior_means(like @ wp, like @ (wp * x), wp @ x)
     conditional_mean = estimates @ like
     dev = (estimates[:, None] - conditional_mean[None, :]) ** 2
     var = np.einsum("km,km->m", like, dev)
     bias = conditional_mean - x
-    return float(composite_simpson(p * (var + bias**2), m.grid.h))
+    return float(composite_simpson(prior.samples.values * (var + bias**2), m.grid.h))

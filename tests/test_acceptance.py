@@ -157,8 +157,8 @@ def test_criterion_6_mse_decomposition_identity():
 def test_criterion_7_bias_decay_and_anchors():
     problem1, model = noon_model(NoonParams(10), (0.0, A_NOON), M, 1)
     problem20, _ = noon_model(NoonParams(10), (0.0, A_NOON), M, 20)
-    bias1 = estimator_bias(model, mmse_mse(model, problem1.prior, 1).estimates)
-    bias20 = estimator_bias(model, mmse_mse(model, problem20.prior, 20).estimates)
+    bias1 = estimator_bias(model, problem1.prior, 1)
+    bias20 = estimator_bias(model, problem20.prior, 20)
     assert np.max(np.abs(bias20.values)) < np.max(np.abs(bias1.values))
 
     b = solve_optimal_bias(problem1)

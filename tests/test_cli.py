@@ -300,6 +300,32 @@ class TestSettings:
             self.settings(tmp_path, "bias", "--example", "noon")
 
 
+class TestCommandWord:
+    def test_flags_may_precede_the_command(self, capsys):
+        flags = ["--example", "noon", "--n-range", "1:3"]
+        assert main(["bounds", *flags]) == 0
+        after = capsys.readouterr().out
+        assert main([*flags, "bounds"]) == 0
+        assert capsys.readouterr().out == after
+
+    def test_unknown_example_fails_as_from_the_config_file(self, tmp_path, capsys):
+        assert main(["bounds", "--example", "foo", "--n", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("qbounds: --example must be one of noon, dephasing, "
+                       "interferometer, field, got 'foo'\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"example": "foo"}))
+        assert main(["bounds", "--config", str(cfg), "--n", "1"]) == 2
+        assert capsys.readouterr().err == err
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(f"{name}: " in out for name in cli._RUNNERS)
+
+
 class TestFailureExitCodes:
     @pytest.mark.parametrize(
         "argv",
@@ -325,7 +351,17 @@ class TestFailureExitCodes:
         )
         assert code == 4
         assert csv_text is None
-        assert "mmse is nan" in capsys.readouterr().err
+        assert "axis=1.0: mmse is nan" in capsys.readouterr().err
+
+    def test_wide_prior_bias_curve_warns_nothing(self):
+        # the risk overflows at this support (test_non_finite_row and
+        # test_non_finite_run_value), but the bias curve takes no spread;
+        # the solver's residual warning from bounds.py stays
+        proc = self.run_under_limit(["bias", "--example", "noon", "--n", "1",
+                                     "--prior", "0:1e300", "--stride", "1000"])
+        assert proc.returncode == 0, proc.stderr
+        assert "estimation.py" not in proc.stderr
+        assert len(rows_of(proc.stdout)[1]) == 5
 
     @pytest.mark.parametrize("command", ["bounds", "bias"])
     def test_grid_below_derivative_stencil(self, tmp_path, capsys, command):
@@ -357,10 +393,10 @@ class TestFailureExitCodes:
         assert err.startswith("qbounds:") and "mse is nan" in err
 
     @staticmethod
-    def run_under_limit(argv, limit):
-        import resource
-
+    def run_under_limit(argv, limit=None):
+        """The CLI in a subprocess, its address space capped at ``limit``."""
         def limit_address_space():
+            import resource
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -368,8 +404,8 @@ class TestFailureExitCodes:
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         return subprocess.run(
             [sys.executable, "-m", "qbounds.cli", *argv], env=env,
-            preexec_fn=limit_address_space, capture_output=True, text=True,
-            timeout=120,
+            preexec_fn=limit_address_space if limit else None,
+            capture_output=True, text=True, timeout=120,
         )
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),

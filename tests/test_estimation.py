@@ -178,20 +178,16 @@ class TestMmseMse:
     def test_bias_decays_with_measurements(self):
         problem1, model = noon(1, m=2001)
         problem20, _ = noon(20, m=2001)
-        b1 = estimator_bias(model, mmse_mse(model, problem1.prior, 1).estimates)
-        b20 = estimator_bias(model, mmse_mse(model, problem20.prior, 20).estimates)
+        b1 = estimator_bias(model, problem1.prior, 1)
+        b20 = estimator_bias(model, problem20.prior, 20)
         assert np.max(np.abs(b20.values)) < np.max(np.abs(b1.values))
 
-    def test_estimator_bias_needs_an_estimate(self):
-        _, model = noon(m=101)
-        with pytest.raises(DomainError, match="estimate for each outcome"):
-            estimator_bias(model, np.empty(0))
-
+    @pytest.mark.parametrize("route", [mmse_mse, estimator_bias])
     @pytest.mark.parametrize("n", [-1, -2])
-    def test_negative_repetition_count_rejected(self, n):
+    def test_negative_repetition_count_rejected(self, n, route):
         problem, model = noon(m=101)
         with pytest.raises(DomainError, match="repetition count"):
-            mmse_mse(model, problem.prior, n)
+            route(model, problem.prior, n)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
     def test_p1_outside_unit_interval_rejected(self, bad):
@@ -355,7 +351,7 @@ class TestBandedLikelihood:
         live = evidence > 1e-280
         np.testing.assert_allclose(rep.estimates[live], estimates[live], rtol=1e-12, atol=0)
         assert rep.mse == pytest.approx(mse, rel=1e-12)
-        np.testing.assert_allclose(estimator_bias(model, rep.estimates).values, bias,
+        np.testing.assert_allclose(estimator_bias(model, problem.prior, n).values, bias,
                                    rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("m", [3, 5, 4001])
@@ -406,6 +402,18 @@ class TestBandedLikelihood:
         _, model = BUILDERS["noon"](4001)
         assert len(list(estimation._likelihood_blocks(model, 3000))) > 1
 
+    @pytest.mark.parametrize("n, m", [(0, 5), (1, 4001), (300, 401), (3000, 4001)])
+    @pytest.mark.parametrize("example", ["noon", "dephasing-0.8", "field"])
+    def test_bias_curve_averages_the_mmse_estimates(self, example, n, m):
+        # the bias walk sums the estimates as mmse_mse does, to the bit
+        problem, model = BUILDERS[example](m)
+        estimates = mmse_mse(model, problem.prior, n).estimates
+        conditional_mean = np.empty(m)
+        for cols, k_lo, block in estimation._likelihood_blocks(model, n):
+            conditional_mean[cols] = estimates[k_lo:k_lo + len(block)] @ block
+        np.testing.assert_array_equal(estimator_bias(model, problem.prior, n).values,
+                                      conditional_mean - problem.grid.nodes())
+
     @pytest.mark.parametrize("budget", [1, 64, 5000])
     @pytest.mark.parametrize("example", ["noon", "dephasing-0.8"])
     def test_block_budget_moves_only_rounding(self, monkeypatch, example, budget):
@@ -413,7 +421,7 @@ class TestBandedLikelihood:
         problem, model = BUILDERS[example](401)
         prior = problem.prior
         ref = mmse_mse(model, prior, 300)
-        bias_ref = estimator_bias(model, ref.estimates).values
+        bias_ref = estimator_bias(model, prior, 300).values
         monkeypatch.setattr(estimation, "_BLOCK_CELLS", budget)
         assert len(list(estimation._likelihood_blocks(model, 300))) > 1
         rep = mmse_mse(model, prior, 300)
@@ -422,5 +430,5 @@ class TestBandedLikelihood:
         np.testing.assert_allclose(rep.estimates[live], ref.estimates[live],
                                    rtol=1e-12, atol=0)
         assert rep.mse == pytest.approx(ref.mse, rel=1e-12)
-        np.testing.assert_allclose(estimator_bias(model, rep.estimates).values, bias_ref,
+        np.testing.assert_allclose(estimator_bias(model, prior, 300).values, bias_ref,
                                    rtol=0, atol=1e-12)
