@@ -176,7 +176,8 @@ def solve_optimal_bias(p: EstimationProblem) -> GridFunction:
     derivative() is the five-point derivative of the running sum of
     Delta(x + b), minus 1: at small information that sum is O(J) while b
     is not, so it carries none of the rounding noise that differentiating b
-    picks up as J -> 0.
+    picks up as J -> 0. Raises SingularSystem where h^2 underflows or K
+    overflows (n J below about 1e-301 on 4001 nodes).
     """
     grid = p.grid
     h = grid.h
@@ -188,8 +189,12 @@ def solve_optimal_bias(p: EstimationProblem) -> GridFunction:
     # h q itself overflows on very wide supports; its square root does not
     r = np.sqrt(h) * np.sqrt(q)
     inv = 1.0 / mass
-    off = -(inv[1:-1] / r[:-1]) / r[1:]
-    k = (inv[:-1] / r + inv[1:] / r) / r
+    # K ~ 2/(h^2 n J) can overflow; that raises below instead of warning
+    with np.errstate(over="ignore"):
+        off = -(inv[1:-1] / r[:-1]) / r[1:]
+        k = (inv[:-1] / r + inv[1:] / r) / r
+    if not (np.isfinite(k).all() and np.isfinite(off).all()):
+        raise SingularSystem("the bias system overflows: the information n J is too small")
     # the node differences, not h: they carry the rounding of the nodes
     y0 = np.diff(grid.nodes()) / r / (1.0 + k)
     rhs = np.zeros_like(y0)

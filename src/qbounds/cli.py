@@ -402,11 +402,14 @@ def make_parser() -> argparse.ArgumentParser:
     # one flag set for all three commands; values stay text for build_config
     for flag, metavar in (
         ("--example", "{%s}" % ",".join(_EXAMPLES)), ("--n", "N"),
-        ("--n-range", "MIN:MAX"), ("--prior", "A1:A2"), ("--grid", "M"),
+        ("--n-range", "MIN:MAX"), ("--grid", "M"),
         ("--sweep", "KEY=V1,V2,..."), ("--stride", "K"), ("--out", "PATH"),
         ("--report", "PATH"), ("--config", "PATH"),
     ):
         parser.add_argument(flag, metavar=metavar)
+    # argparse takes "-0.1:0.1" for an unknown flag
+    parser.add_argument("--prior", metavar="A1:A2",
+                        help="prior support; write --prior=-0.1:0.1 when A1 is negative")
     parser.add_argument("--param", action="append", metavar="KEY=VALUE")
     return parser
 

@@ -123,8 +123,10 @@ class EstimationProblem:
         if self.qfi.grid != self.prior.grid:
             raise DomainError("prior and QFI must share one grid")
         v = self.qfi.values
-        if not (v.min() > 0.0 and v.max() < np.inf):
-            raise DomainError("QFI must be finite and strictly positive on the grid")
+        # a subnormal n J has lost precision, and 1/(n J) overflows
+        if not (v.min() >= 2.0**-1022 and v.max() < np.inf):
+            raise DomainError("QFI must be finite and strictly positive on the grid, "
+                              "at least the smallest normal double 2^-1022")
 
     @property
     def grid(self) -> ParameterGrid:

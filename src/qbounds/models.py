@@ -17,7 +17,6 @@ Evolution time is fixed to 1 throughout.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,10 +36,6 @@ __all__ = [
     "interferometer_problem",
     "field_model",
 ]
-
-# Newton takes at most 5 steps for any finite n_b > 0; the cap only bounds the loop.
-_NEWTON_STEPS = 100
-
 
 @dataclass(frozen=True)
 class NoonParams:
@@ -140,24 +135,14 @@ def _solve_alpha_sq(n_b: float) -> float:
 
     u tanh u is strictly increasing from 0 and u tanh u > u - 0.1 at
     u = n_b + 2 >= 2, so [0, n_b + 2] brackets the root for n_b >= 0.
-    Newton's method runs inside that bracket. u tanh u is convex only where
-    it is below 1, so a step that leaves the bracket bisects it instead.
+    Bisection halves it until no double lies strictly inside, then takes
+    the end whose u tanh u is nearer n_b. The midpoint lo + (hi - lo)/2
+    stays finite where lo + hi would overflow (n_b near 1e308).
     """
-    if n_b == 0.0:
-        return 0.0
     lo, hi = 0.0, n_b + 2.0
-    u = max(math.sqrt(n_b), n_b)  # the root's leading order on each side of 1
-    for _ in range(_NEWTON_STEPS):
-        t = math.tanh(u)
-        f = u * t - n_b
-        lo, hi = (u, hi) if f < 0.0 else (lo, u)
-        step = f / (t + u * (1.0 - t * t))
-        if abs(step) <= 4.0 * sys.float_info.epsilon * u:
-            return u - step
-        u -= step
-        if not lo < u < hi:
-            u = 0.5 * (lo + hi)
-    return u
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        lo, hi = (mid, hi) if mid * math.tanh(mid) < n_b else (lo, mid)
+    return min((lo, hi), key=lambda u: abs(u * math.tanh(u) - n_b))
 
 
 def interferometer_qfi(params: InterferometerParams) -> float:
@@ -192,11 +177,12 @@ def field_model(
 ) -> tuple[EstimationProblem, BinaryMeasurementModel]:
     """Qubit in an XZ-plane field: x-dependent QFI.
 
-    J(x) = 4 s^2 (1 - c^2 sin^2 x) with s = sin(B/2), c = cos(B/2);
-    p1(x) = s^2 sin^2 x.
+    J(x) = 4 s^2 (1 - c^2 sin^2 x) with s = sin(B/2), c = cos(B/2),
+    evaluated as 4 s^2 (s^2 + c^2 cos^2 x) since 1 - c^2 = s^2: the
+    direct form cancels near x = pi/2 as B -> 0. p1(x) = s^2 sin^2 x.
     """
     s2 = math.sin(params.B / 2.0) ** 2
     c2 = math.cos(params.B / 2.0) ** 2
     return _uniform_model(prior_support, m, n,
-                          lambda x: 4.0 * s2 * (1.0 - c2 * np.sin(x) ** 2),
+                          lambda x: 4.0 * s2 * (s2 + c2 * np.cos(x) ** 2),
                           lambda x: s2 * np.sin(x) ** 2)

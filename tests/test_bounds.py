@@ -23,7 +23,7 @@ from qbounds.core import (
     PriorDensity,
     make_uniform_prior,
 )
-from qbounds.errors import DomainError
+from qbounds.errors import DomainError, SingularSystem
 from qbounds.estimation import mmse_mse
 from qbounds.models import FieldParams, NoonParams, field_model, noon_model
 from qbounds.numerics import composite_simpson
@@ -236,6 +236,14 @@ class TestSolveOptimalBias:
         with pytest.warns(RuntimeWarning, match="may lie above the optimal biased bound"):
             solve_optimal_bias(p)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_system_raises_without_warnings(self):
+        # K ~ 1/(h^2 J) overflows on 4001 nodes at this normal J: one error,
+        # no numpy warnings and no nan bound
+        p = constant_problem(j=1e-305, a=math.pi, m=4001)
+        with pytest.raises(SingularSystem, match="overflows"):
+            obb_variational(p)
+
 
 class TestObbVariational:
     @pytest.mark.parametrize("j", [1.0, 25.0, 100.0])
@@ -366,7 +374,7 @@ class TestSmallInformation:
         problem, _ = field_model(FieldParams(b_field), (0.0, a), 4001, 1)
         s2, c2 = math.sin(b_field / 2) ** 2, math.cos(b_field / 2) ** 2
         oracle = obb_by_collocation(
-            np.ones_like, lambda x: 4.0 * s2 * (1.0 - c2 * np.sin(x) ** 2), a, tol=1e-12
+            np.ones_like, lambda x: 4.0 * s2 * (s2 + c2 * np.cos(x) ** 2), a, tol=1e-12
         )
         value = obb_variational(problem).value
         assert value == pytest.approx(oracle, rel=0.0, abs=1e-11)

@@ -96,6 +96,28 @@ class TestBoundsSweep:
         _, rows = rows_of(csv_text)
         assert float(rows[0][2]) == pytest.approx(oracle, rel=0.0, abs=1e-11)
 
+    def test_field_at_vanishing_field(self, tmp_path):
+        # J = 4 sin^2(B/2) (sin^2(B/2) + cos^2(B/2) cos^2 x) carries no
+        # cancellation, so the OBB reaches the prior variance (pi/2)^2/12
+        code, csv_text, _ = run(
+            tmp_path, "bounds", "--example", "field", "--n", "1", "--param", "B=1e-8"
+        )
+        assert code == 0
+        _, rows = rows_of(csv_text)
+        assert float(rows[0][2]) == pytest.approx(math.pi**2 / 48, rel=0.0, abs=1e-11)
+
+    def test_negative_prior_end(self, tmp_path):
+        # "--prior -0.1:0.1" reads as an unknown flag; the = form does not.
+        # p1 = sin^2(5x) is even in x, so the MMSE is the prior variance 0.2^2/12
+        code, csv_text, _ = run(
+            tmp_path, "bounds", "--example", "noon", "--n", "1", "--prior=-0.1:0.1", *GRID
+        )
+        assert code == 0
+        _, rows = rows_of(csv_text)
+        obb, mmse = float(rows[0][2]), float(rows[0][3])
+        assert obb <= mmse
+        assert mmse == pytest.approx(0.04 / 12, rel=1e-9)
+
     def test_interferometer_mmse_column_empty(self, tmp_path):
         code, csv_text, _ = run(
             tmp_path, "bounds", "--example", "interferometer", "--n", "2", *GRID
@@ -260,7 +282,8 @@ class TestSettings:
         ("bias", "--example", "noon", "--n", "1", "--stride", "50"),
         ("mmse", "--example", "dephasing", "--n", "0"),
         ("bounds", "--example", "dephasing", "--n", "5", "--param", "gamma=0.2"),
-    ], ids=["n-range", "sweep", "stride", "mmse-n0", "gamma"])
+        ("bounds", "--example", "noon", "--n", "1", "--prior=-0.1:0.1"),
+    ], ids=["n-range", "sweep", "stride", "mmse-n0", "gamma", "negative-prior"])
     def test_report_replays_to_same_csv(self, tmp_path, argv):
         code, csv_text, _ = run(tmp_path, *argv, *GRID)
         assert code == 0
@@ -362,6 +385,16 @@ class TestFailureExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert "estimation.py" not in proc.stderr
         assert len(rows_of(proc.stdout)[1]) == 5
+
+    @pytest.mark.parametrize("gamma, code", [("350", 3), ("355", 2)])
+    def test_tiny_information_fails_in_one_line(self, gamma, code):
+        # at gamma = 350 n J = 1e-304 is normal but the bias system on 4001
+        # nodes overflows; at gamma = 355 n J is subnormal
+        proc = self.run_under_limit(["bounds", "--example", "dephasing", "--n", "1",
+                                     "--param", f"gamma={gamma}"])
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
     @pytest.mark.parametrize("command", ["bounds", "bias"])
     def test_grid_below_derivative_stencil(self, tmp_path, capsys, command):

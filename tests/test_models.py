@@ -74,12 +74,13 @@ class TestInterferometer:
         assert p.alpha_sq * math.tanh(p.alpha_sq) == pytest.approx(1.0, abs=1e-10)
         assert interferometer_qfi(p) == pytest.approx(6.3994, abs=1e-3)
 
-    @pytest.mark.parametrize("n_b", np.logspace(-12, 12, 49))
+    # 1e308: the bisection midpoint must not overflow
+    @pytest.mark.parametrize("n_b", [*np.logspace(-12, 12, 49), 1e-300, 1e300, 1e308])
     def test_alpha_sq_matches_brentq(self, n_b):
         from scipy.optimize import brentq
 
         expected = brentq(lambda u: u * math.tanh(u) - n_b, 0.0, n_b + 2.0,
-                          xtol=1e-300, rtol=4 * np.finfo(float).eps)
+                          xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=2000)
         assert InterferometerParams(1.0, n_b).alpha_sq == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("n_b", [-1.0, math.nan, math.inf])
@@ -161,6 +162,15 @@ class TestField:
             problem.qfi.values, n * (2.0 - np.sin(x) ** 2), rtol=1e-13
         )
 
+    @pytest.mark.parametrize("B", [1e-4, 1e-7, 1e-8])
+    def test_qfi_end_values_at_small_field(self, B):
+        # J(0) = 4 s^2 and J(pi/2) = 4 s^4, s = sin(B/2): 1 - c^2 sin^2 x cancels there
+        problem, _ = field_model(FieldParams(B), (0.0, math.pi / 2), 101, 1)
+        s2 = math.sin(B / 2) ** 2
+        j = problem.qfi.values
+        assert j[0] == pytest.approx(4 * s2, rel=1e-13, abs=0.0)
+        assert j[-1] == pytest.approx(4 * s2 * s2, rel=1e-13, abs=0.0)
+
     def test_qfi_strictly_positive(self):
         for B in (0.3, math.pi / 2, 2.8):
             problem, _ = field_model(FieldParams(B), (0.0, math.pi / 2), 801, 1)
@@ -173,8 +183,11 @@ class TestField:
     # eta^2 underflows; at gamma = 800 eta itself is 0
     lambda: dephasing_model(DephasingParams(400.0), (0.0, math.pi), 101),
     lambda: dephasing_model(DephasingParams(800.0), (0.0, math.pi), 101),
+    # eta^2 = 1e-308 is subnormal
+    lambda: dephasing_model(DephasingParams(355.0), (0.0, math.pi), 101),
     lambda: interferometer_problem(InterferometerParams(0.0, 0.0), (0.0, 1.0), 101),
-], ids=["field-B0", "dephasing-gamma400", "dephasing-gamma800", "interferometer-dark"])
+], ids=["field-B0", "dephasing-gamma400", "dephasing-gamma800", "dephasing-gamma355",
+        "interferometer-dark"])
 def test_vanishing_qfi_rejected(build):
     with pytest.raises(DomainError, match="QFI must be finite and strictly positive"):
         build()
