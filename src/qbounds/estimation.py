@@ -22,13 +22,8 @@ import numpy as np
 
 from .core import GridFunction, ParameterGrid, PriorDensity
 from .errors import DomainError
-from .numerics import (
-    _check_probabilities,
-    binomial_band,
-    composite_simpson,
-    log_binomial_pmf_vector,
-    simpson_weights,
-)
+from .numerics import (_band, _check_probabilities, _column_terms, _log_pmf_rows,
+                       composite_simpson, log_binomial_pmf_vector, simpson_weights)
 
 __all__ = [
     "BinaryMeasurementModel",
@@ -63,10 +58,9 @@ class MmseReport:
 
 
 # Likelihood cells per block, counted at the widest column band; a column
-# whose band alone is longer gets its own block. Each block is dropped once
-# used, so the budget sets no memory floor: it trades the per-block overhead
-# against keeping the kernel's and the moments' passes over a block (512 KiB
-# here) in cache. 2^17 measured no faster on large_n or sweep.
+# whose band alone is longer gets its own block. The budget trades the
+# per-block overhead against keeping the kernel's and the moments' passes
+# over a block (512 KiB here) in cache. 2^17 measured no faster on large_n or sweep.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -77,15 +71,19 @@ def _likelihood_blocks(m: BinaryMeasurementModel, n: int):
     with rows the length of the widest binomial_band (the last chunk may be
     narrower); each block holds rows k_lo..k_lo + len(block) - 1 of its
     columns, the union of their bands. Every cell outside the blocks is
-    exactly 0.0 in the dense table log_binomial_pmf_vector(n, p1).
+    exactly 0.0 in the dense table log_binomial_pmf_vector(n, p1). The walk
+    computes _column_terms once and writes every block into one buffer sized
+    to the largest, so a block is valid only until the next is yielded.
     """
-    p1 = m.p1.values
-    lo, hi = binomial_band(n, p1)
+    q, *columns = _column_terms(n, m.p1.values)  # columns: mirror, log_odds, log_q0
+    lo, hi = _band(n, q, *columns)
     width = max(1, _BLOCK_CELLS // int((hi - lo).max() + 1))
-    for start in range(0, p1.size, width):
-        cols = slice(start, min(start + width, p1.size))
-        k_lo, k_hi = int(lo[cols].min()), int(hi[cols].max())
-        yield cols, k_lo, log_binomial_pmf_vector(n, p1[cols], k_lo, k_hi)
+    starts = np.arange(0, q.size, width)
+    lows, highs = np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
+    buffer = np.empty(int(((highs - lows + 1) * np.diff(starts, append=q.size)).max()))
+    for start, k_lo, k_hi in zip(starts.tolist(), lows.tolist(), highs.tolist()):
+        cols = slice(start, min(start + width, q.size))
+        yield cols, k_lo, _log_pmf_rows(n, k_lo, k_hi, *(c[cols] for c in columns), buffer)
 
 
 def _prior_weights(m: BinaryMeasurementModel, prior: PriorDensity, n: int):
@@ -171,9 +169,7 @@ def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseRepo
     return MmseReport(estimates, float(spread.sum()), zero)
 
 
-def estimator_bias(
-    m: BinaryMeasurementModel, prior: PriorDensity, n: int
-) -> GridFunction:
+def estimator_bias(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> GridFunction:
     """Bias curve E[x_hat | x] - x of the posterior-mean estimator x_hat(k).
 
     Two walks over the banded likelihood blocks of n repetitions: the
@@ -183,12 +179,10 @@ def estimator_bias(
     """
     x, wp = _prior_weights(m, prior, n)
     weights = np.column_stack([wp, wp * x])
-    evidence, first_moment = np.zeros((2, n + 1))
+    sums = np.zeros((n + 1, 2))  # evidence, first moment
     for cols, k_lo, block in _likelihood_blocks(m, n):
-        part = block @ weights[cols]
-        evidence[k_lo:k_lo + len(block)] += part[:, 0]
-        first_moment[k_lo:k_lo + len(block)] += part[:, 1]
-    estimates, _ = _posterior_means(evidence, first_moment, wp @ x)
+        sums[k_lo:k_lo + len(block)] += block @ weights[cols]
+    estimates, _ = _posterior_means(*sums.T, wp @ x)
     conditional_mean = np.empty(m.grid.m)
     for cols, k_lo, block in _likelihood_blocks(m, n):
         conditional_mean[cols] = estimates[k_lo:k_lo + len(block)] @ block

@@ -5,6 +5,11 @@ of symmetric positive definite tridiagonal systems, and binomial likelihood
 rows and their exact band from one log-cell formula. Everything here works
 on plain arrays; grid-aware wrappers live where the grid types do.
 
+A log-cell starts as one BLAS product of the row factors (k, n - k, 1) and
+the column factors (log_odds or 0, 0 or log_odds, log_q0). Of its three terms
+one is an exact zero, so any grouping BLAS picks adds log_q0 to one rounded
+kk log_odds, as binomial_band does; log C(n, kk) is added after, not regrouped.
+
 dpttrf/dpttrs come from scipy's compiled ``_flapack`` extension, loaded by file
 without importing ``scipy.linalg``, which would more than double the start-up
 of every CLI run; scipy is still required, since the extension ships with it.
@@ -125,33 +130,19 @@ def _column_terms(n: int, p1) -> tuple[np.ndarray, ...]:
     return q, mirror, log_odds, n * np.log1p(-q)
 
 
-def log_binomial_pmf_vector(
-    n: int, p1: np.ndarray, k_lo: int = 0, k_hi: int | None = None
-) -> np.ndarray:
-    """Rows k_lo..k_hi (default 0..n) of the binomial likelihood table.
-
-    Returns shape (k_hi - k_lo + 1, len(p1)); cell (k, x) is
-    C(n,k) p1^k (1-p1)^(n-k), one exponential of the log-cell of
-    _column_terms (exact 0/1 cells where q = 0). A cell whose log is below
-    _LOG_FLOOR reads exactly 0.0, so every cell is 0.0 or a normal double.
-    Raises DomainError unless 0 <= k_lo <= k_hi <= n.
-    """
-    _, mirror, log_odds, log_q0 = _column_terms(n, p1)
-    k_hi = n if k_hi is None else k_hi
-    if not 0 <= k_lo <= k_hi <= n:
-        raise DomainError(f"rows {k_lo}..{k_hi} must lie within 0..{n}")
+def _log_pmf_rows(n, k_lo, k_hi, mirror, log_odds, log_q0, buffer) -> np.ndarray:
+    """log_binomial_pmf_vector's rows from _column_terms, as a view of buffer."""
     k = np.arange(k_lo, k_hi + 1)
-    out = np.empty((k.size, mirror.size))
+    out = buffer[:k.size * mirror.size].reshape(k.size, mirror.size)
+    rows = np.empty((3, k.size))  # the row factors (k, n - k, 1), as columns of rows.T
+    rows[0], rows[1], rows[2] = k, n - k, 1.0
+    factors = np.array([np.where(mirror, 0.0, log_odds), np.where(mirror, log_odds, 0.0), log_q0])
     # contiguous column runs that share one row vector kk = k or n - k
     edges = [0, *(np.flatnonzero(np.diff(mirror)) + 1), mirror.size] if mirror.size else []
     with np.errstate(over="ignore"):
+        np.matmul(rows.T, factors, out=out)
         for a, b in zip(edges[:-1], edges[1:]):
-            kk = n - k if mirror[a] else k
-            block = out[:, a:b]
-            # a float row spares the outer product an int-to-float cast per cell
-            np.multiply.outer(kk.astype(float), log_odds[a:b], out=block)
-            block += log_q0[a:b]
-            block += _log_binomial_coefficients(n)[kk][:, None]
+            out[:, a:b] += _log_binomial_coefficients(n)[n - k if mirror[a] else k][:, None]
     # Each column's log-pmf is concave in k, so its smallest cell is in the
     # first or last row (-inf there, q = 0, gives exact zeros). Only where
     # those hold a finite cell below the floor are cells flushed, to -inf:
@@ -160,6 +151,25 @@ def log_binomial_pmf_vector(
     if np.any((ends < _LOG_FLOOR) & (ends > -np.inf)):
         np.copyto(out, -np.inf, where=out < _LOG_FLOOR)
     return np.exp(out, out=out)
+
+
+def log_binomial_pmf_vector(
+    n: int, p1: np.ndarray, k_lo: int = 0, k_hi: int | None = None
+) -> np.ndarray:
+    """Rows k_lo..k_hi (default 0..n) of the binomial likelihood table.
+
+    Returns shape (k_hi - k_lo + 1, len(p1)); cell (k, x) is
+    C(n,k) p1^k (1-p1)^(n-k), the exponential of the log-cell of _column_terms
+    (exact 0/1 cells where q = 0): kk log_odds + log_q0 from one BLAS product
+    whose third term is an exact zero (see above), then + log C(n, kk). A cell
+    whose log is below _LOG_FLOOR reads exactly 0.0, so every cell is 0.0 or
+    a normal double. Raises DomainError unless 0 <= k_lo <= k_hi <= n.
+    """
+    _, *columns = _column_terms(n, p1)
+    k_hi = n if k_hi is None else k_hi
+    if not 0 <= k_lo <= k_hi <= n:
+        raise DomainError(f"rows {k_lo}..{k_hi} must lie within 0..{n}")
+    return _log_pmf_rows(n, k_lo, k_hi, *columns, np.empty((k_hi - k_lo + 1) * columns[0].size))
 
 
 def binomial_band(n: int, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,8 +181,11 @@ def binomial_band(n: int, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bisection per side finds the edge; mirrored columns map back by k = n - kk.
     Reads the cached log C(n, k) table: O(n) memory, like the walk that follows.
     """
-    q, mirror, log_odds, log_q0 = _column_terms(n, p1)
+    return _band(n, *_column_terms(n, p1))
 
+
+def _band(n, q, mirror, log_odds, log_q0) -> tuple[np.ndarray, np.ndarray]:
+    """binomial_band from the columns' _column_terms, already checked."""
     def kept(kk, cols):
         log_c = _log_binomial_coefficients(n)[kk]
         with np.errstate(over="ignore"):  # q = 0: kk * -max overflows to -inf

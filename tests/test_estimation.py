@@ -294,6 +294,31 @@ class TestBandedLikelihood:
         assert np.all((0 <= lo) & (lo <= hi) & (hi <= n))
 
     @staticmethod
+    def assert_column_slices_match(n, p1, width):
+        """Every run of width columns reads its dense table's columns to the bit."""
+        dense = log_binomial_pmf_vector(n, p1)
+        for a in range(0, p1.size, width):
+            np.testing.assert_array_equal(
+                log_binomial_pmf_vector(n, p1[a:a + width]), dense[:, a:a + width])
+
+    # A block's cells must not depend on its shape: BLAS may sum the edge
+    # columns of a product in another order than the rest, and only a cell
+    # of two nonzero terms rounds alike in every order. A ramp across 1/2
+    # gives blocks with both mirror runs.
+    @given(n=st.integers(0, 5000), ramp=st.tuples(st.floats(0.0, 0.5), st.floats(0.5, 1.0),
+                                                  st.integers(2, 120)),
+           p1=P1_SAMPLES, width=st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_cells_do_not_depend_on_block_shape(self, n, ramp, p1, width):
+        self.assert_column_slices_match(n, np.concatenate([np.linspace(*ramp), p1]), width)
+
+    # the 349-column slices of assert_band_is_exact at n = 3000
+    @pytest.mark.parametrize("example", ["noon", "field"])
+    def test_cells_do_not_depend_on_block_shape_on_models(self, example):
+        _, model = BUILDERS[example](4001)
+        self.assert_column_slices_match(3000, model.p1.values, 349)
+
+    @staticmethod
     def assert_band_is_exact(n, p1):
         """The band is the first and last row whose log-cell, computed for every
         row in the kernel's order, is at or above the edge, and every row in
@@ -397,6 +422,26 @@ class TestBandedLikelihood:
         for c, (_, k_lo, block) in zip(columns, blocks):
             assert block.shape[1] == c.size
             assert k_lo <= lo[c].min() and hi[c].max() <= k_lo + len(block) - 1
+
+    def test_column_terms_run_once_per_walk(self, monkeypatch):
+        # the band and every block of one walk share one _column_terms call
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = numerics._column_terms
+        monkeypatch.setattr(numerics, "_column_terms", counted)
+        monkeypatch.setattr(estimation, "_column_terms", counted, raising=False)
+        problem, model = BUILDERS["noon"](4001)
+        assert len(list(estimation._likelihood_blocks(model, 3000))) > 1
+        calls.clear()
+        mmse_mse(model, problem.prior, 3000)
+        assert len(calls) == 1
+        calls.clear()
+        estimator_bias(model, problem.prior, 3000)  # two walks
+        assert len(calls) == 2
 
     def test_large_tables_span_several_blocks(self):
         _, model = BUILDERS["noon"](4001)
