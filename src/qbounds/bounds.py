@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import EstimationProblem, GridFunction, ParameterGrid
 from .errors import DomainError, SingularSystem
-from .numerics import composite_simpson, solve_tridiagonal
+from .numerics import _dot, composite_simpson, solve_tridiagonal
 
 __all__ = [
     "BoundReport",
@@ -202,7 +202,7 @@ def solve_optimal_bias(p: EstimationProblem) -> GridFunction:
     rhs[1:] -= off * y0[:-1]
     t = solve_tridiagonal(1.0 + k, off, rhs)
     b = np.concatenate(([0.0], np.cumsum(r * (t - k * y0))))
-    b -= (mass @ b) / mass.sum()
+    b -= _dot(mass, b) / mass.sum()
     running = GridFunction(grid, np.concatenate(([0.0], np.cumsum(r * (y0 + t)))))
     bias = _SolvedBias(grid, b, GridFunction(grid, running.derivative().values - 1.0))
 

@@ -4,8 +4,8 @@ A binary measurement with per-parameter success probability p1(x), repeated
 n times, is summarized by the count k of 1-outcomes (a sufficient statistic,
 so the outcome space is n+1 values instead of 2^n sequences). The posterior
 mean per k is the MMSE estimate. ``mmse_mse`` is the one MMSE entry point:
-one pass over the banded likelihood blocks returns the estimates, their
-Bayes risk and the zero-evidence mask, holding one block at a time.
+one pass over the banded blocks of ``numerics.likelihood_blocks`` returns
+the estimates, their Bayes risk and the zero-evidence mask, one at a time.
 ``estimator_bias`` gives the same estimator's bias curve from two walks:
 the estimates, summed as ``mmse_mse`` sums them but with no spread, then
 their mean per column. ``mse_via_decomposition`` recomputes the risk as
@@ -22,8 +22,8 @@ import numpy as np
 
 from .core import GridFunction, ParameterGrid, PriorDensity
 from .errors import DomainError
-from .numerics import (_band, _check_probabilities, _column_terms, _log_pmf_rows,
-                       composite_simpson, log_binomial_pmf_vector, simpson_weights)
+from .numerics import (_check_probabilities, _dot, composite_simpson, likelihood_blocks,
+                       log_binomial_pmf_vector, simpson_weights)
 
 __all__ = [
     "BinaryMeasurementModel",
@@ -55,35 +55,6 @@ class MmseReport:
     estimates: np.ndarray          # posterior mean per outcome count k
     mse: float                     # Bayes risk of the posterior-mean estimator
     zero_evidence: np.ndarray      # mask: every cell of outcome k is below 2^-1022
-
-
-# Likelihood cells per block, counted at the widest column band; a column
-# whose band alone is longer gets its own block. The budget trades the
-# per-block overhead against keeping the kernel's and the moments' passes
-# over a block (512 KiB here) in cache. 2^17 measured no faster on large_n or sweep.
-_BLOCK_CELLS = 1 << 16
-
-
-def _likelihood_blocks(m: BinaryMeasurementModel, n: int):
-    """Yield (columns, k_lo, block) covering every nonzero likelihood cell.
-
-    Columns are walked in chunks of one width, max(1, _BLOCK_CELLS // rows)
-    with rows the length of the widest binomial_band (the last chunk may be
-    narrower); each block holds rows k_lo..k_lo + len(block) - 1 of its
-    columns, the union of their bands. Every cell outside the blocks is
-    exactly 0.0 in the dense table log_binomial_pmf_vector(n, p1). The walk
-    computes _column_terms once and writes every block into one buffer sized
-    to the largest, so a block is valid only until the next is yielded.
-    """
-    q, *columns = _column_terms(n, m.p1.values)  # columns: mirror, log_odds, log_q0
-    lo, hi = _band(n, q, *columns)
-    width = max(1, _BLOCK_CELLS // int((hi - lo).max() + 1))
-    starts = np.arange(0, q.size, width)
-    lows, highs = np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
-    buffer = np.empty(int(((highs - lows + 1) * np.diff(starts, append=q.size)).max()))
-    for start, k_lo, k_hi in zip(starts.tolist(), lows.tolist(), highs.tolist()):
-        cols = slice(start, min(start + width, q.size))
-        yield cols, k_lo, _log_pmf_rows(n, k_lo, k_hi, *(c[cols] for c in columns), buffer)
 
 
 def _prior_weights(m: BinaryMeasurementModel, prior: PriorDensity, n: int):
@@ -152,8 +123,7 @@ def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseRepo
     weights = np.column_stack([wp, wp * x])
     # the O(n) outcome sums come first, so a hopeless n fails before any block
     evidence, first_moment, spread = np.zeros((3, n + 1))
-    for cols, k_lo, block in _likelihood_blocks(m, n):
-        rows = slice(k_lo, k_lo + len(block))
+    for cols, rows, block in likelihood_blocks(n, m.p1.values):
         part = block @ weights[cols]
         w, w_run = part[:, 0], evidence[rows]
         mean, own = _block_spread(block, x[cols], wp[cols], w)
@@ -165,7 +135,7 @@ def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseRepo
         spread[rows] += own + np.where(w_run > 0.0, cross, 0.0)
         evidence[rows] += w
         first_moment[rows] += part[:, 1]
-    estimates, zero = _posterior_means(evidence, first_moment, wp @ x)
+    estimates, zero = _posterior_means(evidence, first_moment, _dot(wp, x))
     return MmseReport(estimates, float(spread.sum()), zero)
 
 
@@ -180,12 +150,12 @@ def estimator_bias(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> Gr
     x, wp = _prior_weights(m, prior, n)
     weights = np.column_stack([wp, wp * x])
     sums = np.zeros((n + 1, 2))  # evidence, first moment
-    for cols, k_lo, block in _likelihood_blocks(m, n):
-        sums[k_lo:k_lo + len(block)] += block @ weights[cols]
-    estimates, _ = _posterior_means(*sums.T, wp @ x)
+    for cols, rows, block in likelihood_blocks(n, m.p1.values):
+        sums[rows] += block @ weights[cols]
+    estimates, _ = _posterior_means(*sums.T, _dot(wp, x))
     conditional_mean = np.empty(m.grid.m)
-    for cols, k_lo, block in _likelihood_blocks(m, n):
-        conditional_mean[cols] = estimates[k_lo:k_lo + len(block)] @ block
+    for cols, rows, block in likelihood_blocks(n, m.p1.values):
+        conditional_mean[cols] = estimates[rows] @ block
     return GridFunction(m.grid, conditional_mean - x)
 
 
@@ -199,7 +169,7 @@ def mse_via_decomposition(
     """
     x, wp = _prior_weights(m, prior, n)
     like = log_binomial_pmf_vector(n, m.p1.values)      # (n+1, m)
-    estimates, _ = _posterior_means(like @ wp, like @ (wp * x), wp @ x)
+    estimates, _ = _posterior_means(like @ wp, like @ (wp * x), _dot(wp, x))
     conditional_mean = estimates @ like
     dev = (estimates[:, None] - conditional_mean[None, :]) ** 2
     var = np.einsum("km,km->m", like, dev)

@@ -1,14 +1,15 @@
 """Low-level numerical kernels.
 
 Composite Simpson quadrature, a LAPACK LDL^T factorization (pttrf/pttrs)
-of symmetric positive definite tridiagonal systems, and binomial likelihood
-rows and their exact band from one log-cell formula. Everything here works
-on plain arrays; grid-aware wrappers live where the grid types do.
+of symmetric positive definite tridiagonal systems, and the binomial
+likelihood table, whole or in blocks over its exact band, from one log-cell
+formula. Everything here works on plain arrays; grid-aware wrappers live
+where the grid types do.
 
 A log-cell starts as one BLAS product of the row factors (k, n - k, 1) and
 the column factors (log_odds or 0, 0 or log_odds, log_q0). Of its three terms
 one is an exact zero, so any grouping BLAS picks adds log_q0 to one rounded
-kk log_odds, as binomial_band does; log C(n, kk) is added after, not regrouped.
+kk log_odds, as _band does; log C(n, kk) is added after, not regrouped.
 
 dpttrf/dpttrs come from scipy's compiled ``_flapack`` extension, loaded by file
 without importing ``scipy.linalg``, which would more than double the start-up
@@ -31,7 +32,7 @@ __all__ = [
     "composite_simpson",
     "solve_tridiagonal",
     "log_binomial_pmf_vector",
-    "binomial_band",
+    "likelihood_blocks",
 ]
 
 
@@ -65,10 +66,22 @@ def simpson_weights(m: int, h: float) -> np.ndarray:
     return w
 
 
+# OpenBLAS splits a dot product over 10000 long across its threads, so its
+# sum depends on their number; one thread sums a chunk this long.
+_DOT_CHUNK = 8192
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a @ b over the last axis of a and 1-D b, its chunks summed in order:
+    every 1-D sum over nodes, so no digit depends on the BLAS thread count."""
+    return functools.reduce(np.add, (a[..., i:i + _DOT_CHUNK] @ b[i:i + _DOT_CHUNK]
+                                     for i in range(0, b.size, _DOT_CHUNK)))
+
+
 def composite_simpson(values: np.ndarray, h: float) -> float:
     """Composite Simpson rule over uniformly spaced samples (last axis)."""
     y = np.asarray(values, dtype=float)
-    return y @ simpson_weights(y.shape[-1], h)
+    return _dot(y, simpson_weights(y.shape[-1], h))
 
 
 def solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -90,7 +103,7 @@ def solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.
 # every cell is 0.0 or a normal double: a subnormal result costs exp about
 # 100x a normal one, and a BLAS product that reads one about 60x.
 _LOG_FLOOR = math.log(np.finfo(float).tiny)
-# binomial_band keeps the rows whose log-cell is at or above this edge. The
+# _band keeps the rows whose log-cell is at or above this edge. The
 # margin covers that one log-cell's rounding: about 2e-4 at n = 1e12, q = 1/2,
 # against a drop of about 7.5e-5 a row there, so the concave cells can wiggle.
 _LOG_BAND_EDGE = _LOG_FLOOR - 0.07
@@ -98,7 +111,7 @@ _LOG_BAND_EDGE = _LOG_FLOOR - 0.07
 
 @functools.lru_cache(maxsize=1)
 def _log_binomial_coefficients(n: int) -> np.ndarray:
-    """log C(n, k) for k = 0..n, kept for the band and the blocks of one table."""
+    """log C(n, k) for k = 0..n, kept for the band and the blocks of one walk."""
     log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)  # log k!
     out = log_fact[n] - log_fact - log_fact[::-1]
     out.flags.writeable = False
@@ -130,17 +143,17 @@ def _column_terms(n: int, p1) -> tuple[np.ndarray, ...]:
     return q, mirror, log_odds, n * np.log1p(-q)
 
 
-def _log_pmf_rows(n, k_lo, k_hi, mirror, log_odds, log_q0, buffer) -> np.ndarray:
-    """log_binomial_pmf_vector's rows from _column_terms, as a view of buffer."""
-    k = np.arange(k_lo, k_hi + 1)
+def _log_pmf_rows(n, rows, mirror, log_odds, log_q0, buffer) -> np.ndarray:
+    """log_binomial_pmf_vector's rows (a slice) from _column_terms, as a view of buffer."""
+    k = np.arange(rows.start, rows.stop)
     out = buffer[:k.size * mirror.size].reshape(k.size, mirror.size)
-    rows = np.empty((3, k.size))  # the row factors (k, n - k, 1), as columns of rows.T
-    rows[0], rows[1], rows[2] = k, n - k, 1.0
+    by_row = np.empty((3, k.size))  # the row factors (k, n - k, 1), as columns of by_row.T
+    by_row[0], by_row[1], by_row[2] = k, n - k, 1.0
     factors = np.array([np.where(mirror, 0.0, log_odds), np.where(mirror, log_odds, 0.0), log_q0])
     # contiguous column runs that share one row vector kk = k or n - k
     edges = [0, *(np.flatnonzero(np.diff(mirror)) + 1), mirror.size] if mirror.size else []
     with np.errstate(over="ignore"):
-        np.matmul(rows.T, factors, out=out)
+        np.matmul(by_row.T, factors, out=out)
         for a, b in zip(edges[:-1], edges[1:]):
             out[:, a:b] += _log_binomial_coefficients(n)[n - k if mirror[a] else k][:, None]
     # Each column's log-pmf is concave in k, so its smallest cell is in the
@@ -153,39 +166,54 @@ def _log_pmf_rows(n, k_lo, k_hi, mirror, log_odds, log_q0, buffer) -> np.ndarray
     return np.exp(out, out=out)
 
 
-def log_binomial_pmf_vector(
-    n: int, p1: np.ndarray, k_lo: int = 0, k_hi: int | None = None
-) -> np.ndarray:
-    """Rows k_lo..k_hi (default 0..n) of the binomial likelihood table.
-
-    Returns shape (k_hi - k_lo + 1, len(p1)); cell (k, x) is
-    C(n,k) p1^k (1-p1)^(n-k), the exponential of the log-cell of _column_terms
-    (exact 0/1 cells where q = 0): kk log_odds + log_q0 from one BLAS product
+def log_binomial_pmf_vector(n: int, p1: np.ndarray) -> np.ndarray:
+    """The (n + 1) x len(p1) binomial likelihood table, cell (k, x) being
+    C(n,k) p1^k (1-p1)^(n-k): the exponential of the log-cell of _column_terms
+    (exact 0/1 cells where q = 0), kk log_odds + log_q0 from one BLAS product
     whose third term is an exact zero (see above), then + log C(n, kk). A cell
     whose log is below _LOG_FLOOR reads exactly 0.0, so every cell is 0.0 or
-    a normal double. Raises DomainError unless 0 <= k_lo <= k_hi <= n.
+    a normal double.
     """
     _, *columns = _column_terms(n, p1)
-    k_hi = n if k_hi is None else k_hi
-    if not 0 <= k_lo <= k_hi <= n:
-        raise DomainError(f"rows {k_lo}..{k_hi} must lie within 0..{n}")
-    return _log_pmf_rows(n, k_lo, k_hi, *columns, np.empty((k_hi - k_lo + 1) * columns[0].size))
+    return _log_pmf_rows(n, slice(0, n + 1), *columns, np.empty((n + 1) * columns[0].size))
 
 
-def binomial_band(n: int, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column, the first and last k whose log-cell is >= _LOG_BAND_EDGE.
+# Likelihood cells per block at the widest band: the per-block overhead
+# against keeping a block (512 KiB) in cache; 2^17 was no faster on large_n or
+# sweep. Blocks of one column, not 16, made noon n = 1e6 4x slower.
+_BLOCK_CELLS = 1 << 16
+_BLOCK_MIN_WIDTH = 16
 
-    The log-cell is the kernel's own (_column_terms), summed in its order, so
-    every cell outside the band reads 0.0. It is concave in kk and peaks far
-    above the edge at the mode floor((n + 1) q), from which an integer
-    bisection per side finds the edge; mirrored columns map back by k = n - kk.
-    Reads the cached log C(n, k) table: O(n) memory, like the walk that follows.
+
+def likelihood_blocks(n: int, p1: np.ndarray):
+    """Yield (cols, rows, block), two slices and log_binomial_pmf_vector(n, p1)
+    [rows, cols] to the bit; every cell outside the blocks is exactly 0.0.
+
+    Columns go in chunks of max(_BLOCK_MIN_WIDTH, _BLOCK_CELLS // L), L the
+    widest _band's length (the last chunk may be narrower); a block's rows
+    are the union of its columns' bands. _column_terms runs once, and every
+    block is written into one buffer, valid until the next is yielded.
     """
-    return _band(n, *_column_terms(n, p1))
+    q, *columns = _column_terms(n, p1)  # columns: mirror, log_odds, log_q0
+    lo, hi = _band(n, q, *columns)
+    width = max(_BLOCK_MIN_WIDTH, _BLOCK_CELLS // int((hi - lo).max() + 1))
+    starts = np.arange(0, q.size, width)
+    lows, highs = np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
+    buffer = np.empty(int(((highs - lows + 1) * np.diff(starts, append=q.size)).max()))
+    for start, first, last in zip(starts.tolist(), lows.tolist(), highs.tolist()):
+        cols, rows = slice(start, min(start + width, q.size)), slice(first, last + 1)
+        yield cols, rows, _log_pmf_rows(n, rows, *(c[cols] for c in columns), buffer)
 
 
 def _band(n, q, mirror, log_odds, log_q0) -> tuple[np.ndarray, np.ndarray]:
-    """binomial_band from the columns' _column_terms, already checked."""
+    """Per column of _column_terms, the first and last k whose log-cell is >= _LOG_BAND_EDGE.
+
+    The log-cell is the kernel's own, summed in its order, so every cell
+    outside the band reads 0.0. It is concave in kk and peaks far above the
+    edge at the mode floor((n + 1) q), from which an integer bisection per
+    side finds the edge; mirrored columns map back by k = n - kk. Reads the
+    cached log C(n, k) table: O(n) memory, like the walk that uses it.
+    """
     def kept(kk, cols):
         log_c = _log_binomial_coefficients(n)[kk]
         with np.errstate(over="ignore"):  # q = 0: kk * -max overflows to -inf

@@ -426,20 +426,32 @@ class TestFailureExitCodes:
         assert err.startswith("qbounds:") and "mse is nan" in err
 
     @staticmethod
-    def run_under_limit(argv, limit=None):
-        """The CLI in a subprocess, its address space capped at ``limit``."""
+    def run_under_limit(argv, limit=None, threads=1):
+        """The CLI in a subprocess on ``threads`` BLAS threads, its address
+        space capped at ``limit``."""
         def limit_address_space():
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         return subprocess.run(
             [sys.executable, "-m", "qbounds.cli", *argv], env=env,
             preexec_fn=limit_address_space if limit else None,
             capture_output=True, text=True, timeout=120,
         )
+
+    # OpenBLAS splits a dot product over 10000 long across its threads; on
+    # 40001 nodes every 1-D sum over the nodes must still give the same digits
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--example", "field", "--n-range", "1:4", "--grid", "40001"),
+        ("bias", "--example", "noon", "--n", "1", "--grid", "40001", "--stride", "1"),
+    ], ids=["bounds", "bias"])
+    def test_output_does_not_depend_on_blas_threads(self, argv):
+        one, two = (self.run_under_limit(argv, threads=t) for t in (1, 2))
+        assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+        assert one.stdout == two.stdout
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="needs RLIMIT_AS")

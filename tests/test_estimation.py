@@ -1,6 +1,7 @@
 import functools
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp, xlogy
 
-from qbounds import estimation, numerics
+from qbounds import numerics
 from qbounds.bounds import obb_variational
 from qbounds.core import GridFunction, ParameterGrid, make_uniform_prior
 from qbounds.errors import DomainError
@@ -26,7 +27,7 @@ from qbounds.models import (
     field_model,
     noon_model,
 )
-from qbounds.numerics import binomial_band, log_binomial_pmf_vector, simpson_weights
+from qbounds.numerics import likelihood_blocks, log_binomial_pmf_vector, simpson_weights
 
 A_NOON = math.pi / 10.0
 
@@ -257,24 +258,49 @@ class TestScipyFreeKernels:
         assert error.max() <= 4 * np.spacing(gammaln(n + 1))
 
 
+def band(n, p1):
+    """Per column, the first and last row the walk keeps."""
+    return numerics._band(n, *numerics._column_terms(n, p1))
+
+
 class TestBandedLikelihood:
     """The banded MMSE routes against the dense likelihood table."""
 
     def test_floor_is_normal(self):
         assert np.exp(numerics._LOG_FLOOR) >= sys.float_info.min
 
-    @given(n=st.integers(0, 5000), p1=P1_SAMPLES,
-           cut=st.tuples(st.integers(0, 5000), st.integers(0, 5000)))
-    @example(n=2, p1=[math.exp(-354.19), math.exp(-354.21)], cut=(2, 2))
+    @given(n=st.integers(0, 5000), p1=P1_SAMPLES)
+    @example(n=2, p1=[math.exp(-354.19), math.exp(-354.21)])
     @settings(max_examples=150, deadline=None)
-    def test_cells_are_zero_or_normal(self, n, p1, cut):
-        # a block of rows skips the flush where its end rows allow; the dense
-        # table's rows are the same either way
+    def test_cells_are_zero_or_normal(self, n, p1):
         dense = log_binomial_pmf_vector(n, np.array(p1))
         assert np.all((dense == 0.0) | (dense >= sys.float_info.min))
-        k_lo, k_hi = sorted(c % (n + 1) for c in cut)
-        np.testing.assert_array_equal(
-            log_binomial_pmf_vector(n, np.array(p1), k_lo, k_hi), dense[k_lo:k_hi + 1])
+
+    # A block skips the flush where its end rows allow, and may hold cells
+    # outside some of its columns' bands; its cells are the dense table's
+    # either way. A ramp across 1/2 gives blocks with both mirror runs.
+    @given(n=st.integers(0, 5000), ramp=st.tuples(st.floats(0.0, 0.5), st.floats(0.5, 1.0),
+                                                  st.integers(2, 120)),
+           p1=P1_SAMPLES, budget=st.integers(1, 1 << 16), min_width=st.integers(1, 16))
+    @example(n=2, ramp=(0.0, 1.0, 2), p1=[math.exp(-354.19), math.exp(-354.21)],
+             budget=1, min_width=1)
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_are_the_dense_table(self, n, ramp, p1, budget, min_width):
+        p1 = np.concatenate([p1, np.linspace(*ramp)])
+        dense = log_binomial_pmf_vector(n, p1)
+        covered = np.zeros(dense.shape, dtype=bool)
+        columns = []
+        with mock.patch.multiple(numerics, _BLOCK_CELLS=budget, _BLOCK_MIN_WIDTH=min_width):
+            for cols, rows, block in likelihood_blocks(n, p1):
+                np.testing.assert_array_equal(block, dense[rows, cols])
+                covered[rows, cols] = True
+                columns.append(np.arange(p1.size)[cols])
+        np.testing.assert_array_equal(np.concatenate(columns), np.arange(p1.size))
+        assert np.all(dense[~covered] == 0.0)
+
+    def test_band_of_no_columns(self):
+        for edge in band(3, np.array([])):
+            assert edge.shape == (0,) and edge.dtype.kind == "i"
 
     @given(n=st.integers(0, 5000), p1=P1_SAMPLES)
     # cells just above the floor (-708.396) at k = 0 and k = n, which the band
@@ -287,7 +313,7 @@ class TestBandedLikelihood:
     @settings(max_examples=150, deadline=None)
     def test_cells_outside_the_band_are_zero(self, n, p1):
         p1 = np.array(p1)
-        lo, hi = binomial_band(n, p1)
+        lo, hi = band(n, p1)
         dense = log_binomial_pmf_vector(n, p1)
         k = np.arange(n + 1)[:, None]
         assert np.all(dense[(k < lo) | (k > hi)] == 0.0)
@@ -324,7 +350,7 @@ class TestBandedLikelihood:
         row in the kernel's order, is at or above the edge, and every row in
         between is kept; the kernel's cells are the exp of those log-cells."""
         _, mirror, log_odds, log_q0 = numerics._column_terms(n, p1)
-        lo, hi = binomial_band(n, p1)
+        lo, hi = band(n, p1)
         k = np.arange(n + 1)[:, None]
         step = max(1, (1 << 20) // (n + 1))  # columns at a time, to bound memory
         for a in range(0, p1.size, step):
@@ -392,7 +418,8 @@ class TestBandedLikelihood:
     def test_one_pass_merge_matches_dense_route(self, monkeypatch, budget, example, n, m):
         # one column per block merges each outcome's spread up to m times;
         # a budget of the whole table leaves one block and no merge
-        monkeypatch.setattr(estimation, "_BLOCK_CELLS", 1 if budget == "column" else (n + 1) * m)
+        monkeypatch.setattr(numerics, "_BLOCK_CELLS", 1 if budget == "column" else (n + 1) * m)
+        monkeypatch.setattr(numerics, "_BLOCK_MIN_WIDTH", 1)
         self.assert_matches_dense_route(example, n, m)
 
     @pytest.mark.parametrize("n, m", [(1, 5), (30, 5), (300, 5), (1, 4001), (30, 4001),
@@ -406,22 +433,23 @@ class TestBandedLikelihood:
         ref = long_double_risk(model, problem.prior, n)
         assert mmse_mse(model, problem.prior, n).mse == pytest.approx(ref, rel=1e-13, abs=0)
 
+    # budget 1 sizes every block at the floor of 16 columns
     @pytest.mark.parametrize("budget", [None, 1])
     def test_blocks_tile_columns_at_one_width(self, monkeypatch, budget):
         if budget is not None:
-            monkeypatch.setattr(estimation, "_BLOCK_CELLS", budget)
+            monkeypatch.setattr(numerics, "_BLOCK_CELLS", budget)
         n, m = 3000, 4001
         _, model = BUILDERS["noon"](m)
-        lo, hi = binomial_band(n, model.p1.values)
-        width = max(1, estimation._BLOCK_CELLS // int((hi - lo).max() + 1))
-        blocks = list(estimation._likelihood_blocks(model, n))
+        lo, hi = band(n, model.p1.values)
+        width = max(16, numerics._BLOCK_CELLS // int((hi - lo).max() + 1))
+        blocks = list(likelihood_blocks(n, model.p1.values))
         columns = [np.arange(m)[cols] for cols, _, _ in blocks]
         np.testing.assert_array_equal(np.concatenate(columns), np.arange(m))
         assert all(c.size == width for c in columns[:-1])
         assert 1 <= columns[-1].size <= width
-        for c, (_, k_lo, block) in zip(columns, blocks):
-            assert block.shape[1] == c.size
-            assert k_lo <= lo[c].min() and hi[c].max() <= k_lo + len(block) - 1
+        for c, (_, rows, block) in zip(columns, blocks):
+            assert block.shape == (rows.stop - rows.start, c.size)
+            assert rows.start <= lo[c].min() and hi[c].max() < rows.stop
 
     def test_column_terms_run_once_per_walk(self, monkeypatch):
         # the band and every block of one walk share one _column_terms call
@@ -433,9 +461,8 @@ class TestBandedLikelihood:
 
         original = numerics._column_terms
         monkeypatch.setattr(numerics, "_column_terms", counted)
-        monkeypatch.setattr(estimation, "_column_terms", counted, raising=False)
         problem, model = BUILDERS["noon"](4001)
-        assert len(list(estimation._likelihood_blocks(model, 3000))) > 1
+        assert len(list(likelihood_blocks(3000, model.p1.values))) > 1
         calls.clear()
         mmse_mse(model, problem.prior, 3000)
         assert len(calls) == 1
@@ -445,7 +472,7 @@ class TestBandedLikelihood:
 
     def test_large_tables_span_several_blocks(self):
         _, model = BUILDERS["noon"](4001)
-        assert len(list(estimation._likelihood_blocks(model, 3000))) > 1
+        assert len(list(likelihood_blocks(3000, model.p1.values))) > 1
 
     @pytest.mark.parametrize("n, m", [(0, 5), (1, 4001), (300, 401), (3000, 4001)])
     @pytest.mark.parametrize("example", ["noon", "dephasing-0.8", "field"])
@@ -454,8 +481,8 @@ class TestBandedLikelihood:
         problem, model = BUILDERS[example](m)
         estimates = mmse_mse(model, problem.prior, n).estimates
         conditional_mean = np.empty(m)
-        for cols, k_lo, block in estimation._likelihood_blocks(model, n):
-            conditional_mean[cols] = estimates[k_lo:k_lo + len(block)] @ block
+        for cols, rows, block in likelihood_blocks(n, model.p1.values):
+            conditional_mean[cols] = estimates[rows] @ block
         np.testing.assert_array_equal(estimator_bias(model, problem.prior, n).values,
                                       conditional_mean - problem.grid.nodes())
 
@@ -467,8 +494,9 @@ class TestBandedLikelihood:
         prior = problem.prior
         ref = mmse_mse(model, prior, 300)
         bias_ref = estimator_bias(model, prior, 300).values
-        monkeypatch.setattr(estimation, "_BLOCK_CELLS", budget)
-        assert len(list(estimation._likelihood_blocks(model, 300))) > 1
+        monkeypatch.setattr(numerics, "_BLOCK_CELLS", budget)
+        monkeypatch.setattr(numerics, "_BLOCK_MIN_WIDTH", 1)
+        assert len(list(likelihood_blocks(300, model.p1.values))) > 1
         rep = mmse_mse(model, prior, 300)
         np.testing.assert_array_equal(rep.zero_evidence, ref.zero_evidence)
         live = ~ref.zero_evidence

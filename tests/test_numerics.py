@@ -17,8 +17,8 @@ from qbounds import numerics
 from qbounds.core import ParameterGrid
 from qbounds.errors import DomainError, SingularSystem
 from qbounds.numerics import (
-    binomial_band,
     composite_simpson,
+    likelihood_blocks,
     log_binomial_pmf_vector,
     simpson_weights,
     solve_tridiagonal,
@@ -224,18 +224,14 @@ class TestBinomialPmf:
             log_binomial_pmf_vector(3, np.array([-0.1]))
         with pytest.raises(DomainError):
             log_binomial_pmf_vector(3, np.array([np.nan]))
-        # the band runs the kernel's checks: n >= 0 and p1 in [0, 1]
+        # the walk runs the kernel's checks: n >= 0 and p1 in [0, 1]
         for p1 in ([np.nan, 0.5], [1.5, 0.5], [-0.1, 0.5]):
             with pytest.raises(DomainError, match=r"p1 samples must lie in \[0, 1\]"):
-                binomial_band(3, np.array(p1))
+                next(likelihood_blocks(3, np.array(p1)))
         with pytest.raises(DomainError, match="repetition count"):
-            binomial_band(-2, np.array([0.5]))
+            next(likelihood_blocks(-2, np.array([0.5])))
         with pytest.raises(DomainError, match="repetition count"):
             log_binomial_pmf_vector(-1, np.array([0.5]))
-        # rows must satisfy 0 <= k_lo <= k_hi <= n
-        for k_lo, k_hi in [(-1, 1), (0, 5), (2, 1), (4, None)]:
-            with pytest.raises(DomainError, match="rows"):
-                log_binomial_pmf_vector(3, np.array([0.5]), k_lo, k_hi)
 
     @given(
         n=st.integers(0, 200),
@@ -256,16 +252,8 @@ class TestBinomialPmf:
         assert table[k, 0] == pytest.approx(table[n - k, 1], rel=1e-13, abs=1e-300)
 
     def test_empty_p1(self):
-        # no columns is no error: a (rows, 0) table and two empty int bands
+        # no columns is no error: a (rows, 0) table
         assert log_binomial_pmf_vector(3, np.array([])).shape == (4, 0)
-        assert log_binomial_pmf_vector(3, np.array([]), 1, 2).shape == (2, 0)
-        for edge in binomial_band(3, np.array([])):
-            assert edge.shape == (0,) and edge.dtype.kind == "i"
-
-    def test_row_range(self):
-        p1 = np.array([0.0, 0.3, 0.5, 0.8, 1.0])
-        full = log_binomial_pmf_vector(40, p1)
-        np.testing.assert_array_equal(log_binomial_pmf_vector(40, p1, 7, 19), full[7:20])
 
     def test_vector_matches_scalar(self):
         # scipy's scalar pmf is an independent reference for every cell
