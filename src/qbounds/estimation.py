@@ -1,18 +1,18 @@
 """Bayesian MMSE estimator over binomial measurement models.
 
 A binary measurement with per-parameter success probability p1(x), repeated
-n times, is summarized by the count k of 1-outcomes (a sufficient statistic,
-so the outcome space is n+1 values instead of 2^n sequences). The posterior
-mean per k is the MMSE estimate. ``mmse_mse`` is the one MMSE entry point:
-one pass over the banded blocks of ``numerics.likelihood_blocks`` returns
-the estimates, their Bayes risk and the zero-evidence mask, one at a time.
-``estimator_bias`` gives the same estimator's bias curve from two walks:
-the estimates, summed as ``mmse_mse`` sums them but with no spread, then
-their mean per column. ``mse_via_decomposition`` recomputes the risk as
-variance plus squared bias over the dense (n+1) x m likelihood table, as an
-independent check. Every integral is Simpson quadrature on the shared
-grid. No Monte Carlo anywhere, so every quantity is deterministic and
-testable to tight tolerances.
+n times, is summarized by the count k of 1-outcomes (a sufficient statistic:
+n+1 outcomes instead of 2^n sequences); the posterior mean per k is the MMSE
+estimate. ``mmse_mse``, the one MMSE entry point, returns the estimates,
+their Bayes risk and the zero-evidence mask from one pass over the banded
+blocks of ``numerics.likelihood_blocks``. ``estimator_bias`` gives their bias
+curve from two walks: the estimates, summed as ``mmse_mse`` sums them but
+with no spread, then their mean per column. ``mse_via_decomposition``
+recomputes the risk as variance plus squared bias over the dense (n+1) x m
+table, an independent check. All three sum evidence and first moment as one
+(n+1, 2) array against the columns [wp, wp x] of ``_prior_weights``, and
+``_posterior_means`` alone forms the prior mean. Integrals are Simpson sums
+on the shared grid; no Monte Carlo, so every quantity is deterministic.
 """
 from __future__ import annotations
 
@@ -58,20 +58,22 @@ class MmseReport:
 
 
 def _prior_weights(m: BinaryMeasurementModel, prior: PriorDensity, n: int):
-    """(nodes x, Simpson weights times the prior density) once n >= 0 and
-    the model and prior share one grid; raises DomainError otherwise."""
+    """(nodes x, wp = Simpson weights times the prior density, columns [wp, wp x])
+    once n >= 0 and the model and prior share one grid; else DomainError."""
     if n < 0:
         raise DomainError(f"repetition count must be >= 0, got {n}")
     if m.grid != prior.grid:
         raise DomainError("measurement model and prior must share one grid")
-    return m.grid.nodes(), simpson_weights(m.grid.m, m.grid.h) * prior.samples.values
+    x, wp = m.grid.nodes(), simpson_weights(m.grid.m, m.grid.h) * prior.samples.values
+    return x, wp, np.column_stack([wp, wp * x])
 
 
-def _posterior_means(evidence, first_moment, prior_mean):
-    """(posterior mean per outcome count, zero-evidence mask); an outcome
-    with zero evidence gets the prior mean."""
+def _posterior_means(sums, x, wp):
+    """(posterior mean per outcome count, zero-evidence mask) from the (n + 1, 2)
+    evidence and first moment; an outcome with zero evidence gets the prior mean."""
+    evidence, first_moment = sums.T
     zero = evidence <= 0.0
-    return np.where(zero, prior_mean, first_moment / np.where(zero, 1.0, evidence)), zero
+    return np.where(zero, _dot(wp, x), first_moment / np.where(zero, 1.0, evidence)), zero
 
 
 # Rounding costs s2 - s1^2/w about eps * s2 in each row. While a block's
@@ -119,23 +121,21 @@ def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseRepo
     for the outcomes the model rules out) get the prior mean as their
     estimate and carry no weight in the risk.
     """
-    x, wp = _prior_weights(m, prior, n)
-    weights = np.column_stack([wp, wp * x])
+    x, wp, weights = _prior_weights(m, prior, n)
     # the O(n) outcome sums come first, so a hopeless n fails before any block
-    evidence, first_moment, spread = np.zeros((3, n + 1))
+    sums, spread = np.zeros((n + 1, 2)), np.zeros(n + 1)  # evidence, first moment
     for cols, rows, block in likelihood_blocks(n, m.p1.values):
         part = block @ weights[cols]
-        w, w_run = part[:, 0], evidence[rows]
+        w, (w_run, s_run) = part[:, 0], sums[rows].T
         mean, own = _block_spread(block, x[cols], wp[cols], w)
-        # merge (w, mean, own) into the running (w_run, first moment / w_run,
+        # merge (w, mean, own) into the running (w_run, s_run / w_run,
         # spread); a row seen for the first time (w_run = 0) takes the block's
         with np.errstate(divide="ignore", invalid="ignore"):
-            delta = mean - first_moment[rows] / w_run
+            delta = mean - s_run / w_run
             cross = delta * delta * (w_run * w / (w_run + w))
         spread[rows] += own + np.where(w_run > 0.0, cross, 0.0)
-        evidence[rows] += w
-        first_moment[rows] += part[:, 1]
-    estimates, zero = _posterior_means(evidence, first_moment, _dot(wp, x))
+        sums[rows] += part
+    estimates, zero = _posterior_means(sums, x, wp)
     return MmseReport(estimates, float(spread.sum()), zero)
 
 
@@ -147,12 +147,11 @@ def estimator_bias(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> Gr
     products in its order, so the estimates are mmse_mse's to the bit, but
     takes no spread; the second averages the estimates over each column.
     """
-    x, wp = _prior_weights(m, prior, n)
-    weights = np.column_stack([wp, wp * x])
+    x, wp, weights = _prior_weights(m, prior, n)
     sums = np.zeros((n + 1, 2))  # evidence, first moment
     for cols, rows, block in likelihood_blocks(n, m.p1.values):
         sums[rows] += block @ weights[cols]
-    estimates, _ = _posterior_means(*sums.T, _dot(wp, x))
+    estimates, _ = _posterior_means(sums, x, wp)
     conditional_mean = np.empty(m.grid.m)
     for cols, rows, block in likelihood_blocks(n, m.p1.values):
         conditional_mean[cols] = estimates[rows] @ block
@@ -167,9 +166,9 @@ def mse_via_decomposition(
     \\int p(x) [ Var(x_hat | x) + bias(x)^2 ] dx over the dense likelihood
     table; independent route used to cross-check mmse_mse.
     """
-    x, wp = _prior_weights(m, prior, n)
+    x, wp, weights = _prior_weights(m, prior, n)
     like = log_binomial_pmf_vector(n, m.p1.values)      # (n+1, m)
-    estimates, _ = _posterior_means(like @ wp, like @ (wp * x), _dot(wp, x))
+    estimates, _ = _posterior_means(like @ weights, x, wp)
     conditional_mean = estimates @ like
     dev = (estimates[:, None] - conditional_mean[None, :]) ** 2
     var = np.einsum("km,km->m", like, dev)

@@ -44,8 +44,8 @@ class NoonParams:
     N: int
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise DomainError(f"particle number must be >= 1, got {self.N}")
+        if not (self.N >= 1 and self.N % 1 == 0):
+            raise DomainError(f"particle number must be an integer >= 1, got {self.N}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class DephasingParams:
     eta: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise DomainError(f"decay rate must be >= 0, got {self.gamma}")
         object.__setattr__(self, "eta", math.exp(-self.gamma))
 
@@ -86,6 +86,10 @@ class FieldParams:
     """Magnetic field magnitude B (phase accumulated at unit time)."""
 
     B: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.B):
+            raise DomainError(f"field magnitude must be finite, got {self.B}")
 
 
 def _uniform_model(support, m: int, n: int, j, p1=None):

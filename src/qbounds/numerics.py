@@ -3,8 +3,8 @@
 Composite Simpson quadrature, a LAPACK LDL^T factorization (pttrf/pttrs)
 of symmetric positive definite tridiagonal systems, and the binomial
 likelihood table, whole or in blocks over its exact band, from one log-cell
-formula. Everything here works on plain arrays; grid-aware wrappers live
-where the grid types do.
+formula, all on plain arrays. Every 1-D sum over nodes is _dot's pairwise
+sum, which calls no BLAS, so no digit depends on the BLAS thread count.
 
 A log-cell starts as one BLAS product of the row factors (k, n - k, 1) and
 the column factors (log_odds or 0, 0 or log_odds, log_q0). Of its three terms
@@ -66,16 +66,9 @@ def simpson_weights(m: int, h: float) -> np.ndarray:
     return w
 
 
-# OpenBLAS splits a dot product over 10000 long across its threads, so its
-# sum depends on their number; one thread sums a chunk this long.
-_DOT_CHUNK = 8192
-
-
 def _dot(a: np.ndarray, b: np.ndarray):
-    """a @ b over the last axis of a and 1-D b, its chunks summed in order:
-    every 1-D sum over nodes, so no digit depends on the BLAS thread count."""
-    return functools.reduce(np.add, (a[..., i:i + _DOT_CHUNK] @ b[i:i + _DOT_CHUNK]
-                                     for i in range(0, b.size, _DOT_CHUNK)))
+    """sum(a * b) over the last axis: numpy's pairwise sum, with no BLAS."""
+    return np.sum(a * b, axis=-1)
 
 
 def composite_simpson(values: np.ndarray, h: float) -> float:
@@ -195,6 +188,8 @@ def likelihood_blocks(n: int, p1: np.ndarray):
     block is written into one buffer, valid until the next is yielded.
     """
     q, *columns = _column_terms(n, p1)  # columns: mirror, log_odds, log_q0
+    if not q.size:
+        return
     lo, hi = _band(n, q, *columns)
     width = max(_BLOCK_MIN_WIDTH, _BLOCK_CELLS // int((hi - lo).max() + 1))
     starts = np.arange(0, q.size, width)

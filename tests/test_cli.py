@@ -442,16 +442,18 @@ class TestFailureExitCodes:
             capture_output=True, text=True, timeout=120,
         )
 
-    # OpenBLAS splits a dot product over 10000 long across its threads; on
-    # 40001 nodes every 1-D sum over the nodes must still give the same digits
+    # 1-D sums over nodes are numpy's pairwise sums and call no BLAS; the
+    # matrix products over nodes (the MMSE walk's) do, so the digits of a
+    # 40001-node grid and of an MMSE run must not depend on the thread count
     @pytest.mark.parametrize("argv", [
         ("bounds", "--example", "field", "--n-range", "1:4", "--grid", "40001"),
         ("bias", "--example", "noon", "--n", "1", "--grid", "40001", "--stride", "1"),
-    ], ids=["bounds", "bias"])
+        ("mmse", "--example", "dephasing", "--n", "3000", "--param", "eta=0.9"),
+    ], ids=["bounds", "bias", "mmse"])
     def test_output_does_not_depend_on_blas_threads(self, argv):
-        one, two = (self.run_under_limit(argv, threads=t) for t in (1, 2))
-        assert one.returncode == two.returncode == 0, one.stderr + two.stderr
-        assert one.stdout == two.stdout
+        runs = [self.run_under_limit(argv, threads=t) for t in (1, 2, 4)]
+        assert all(r.returncode == 0 for r in runs), "".join(r.stderr for r in runs)
+        assert runs[0].stdout == runs[1].stdout == runs[2].stdout
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="needs RLIMIT_AS")

@@ -302,6 +302,14 @@ class TestBandedLikelihood:
         for edge in band(3, np.array([])):
             assert edge.shape == (0,) and edge.dtype.kind == "i"
 
+    def test_walk_of_no_columns(self):
+        # the dense table of no columns is (n + 1) x 0; its walk yields no
+        # block, after checking n as every walk does
+        assert log_binomial_pmf_vector(5, np.array([])).shape == (6, 0)
+        assert list(likelihood_blocks(5, np.array([]))) == []
+        with pytest.raises(DomainError):
+            next(likelihood_blocks(-1, np.array([])))
+
     @given(n=st.integers(0, 5000), p1=P1_SAMPLES)
     # cells just above the floor (-708.396) at k = 0 and k = n, which the band
     # must keep: p = e^-708.39 gives a cell of e^-708.39 at n = 1, and

@@ -191,3 +191,20 @@ class TestField:
 def test_vanishing_qfi_rejected(build):
     with pytest.raises(DomainError, match="QFI must be finite and strictly positive"):
         build()
+
+
+# A value that the CLI rejects fails where it enters the library, as a
+# DomainError that names it, not later as an unrelated one
+@pytest.mark.parametrize("build, what", [
+    (lambda: NoonParams(2.5), "particle number"),
+    (lambda: NoonParams(math.nan), "particle number"),
+    (lambda: NoonParams(math.inf), "particle number"),
+    (lambda: DephasingParams(math.nan), "decay rate"),
+    (lambda: FieldParams(math.nan), "field magnitude"),
+    (lambda: FieldParams(math.inf), "field magnitude"),
+    (lambda: FieldParams(-math.inf), "field magnitude"),
+], ids=["noon-2.5", "noon-nan", "noon-inf", "dephasing-nan", "field-nan", "field-inf",
+        "field-minus-inf"])
+def test_invalid_parameter_rejected(build, what):
+    with pytest.raises(DomainError, match=what):
+        build()
