@@ -21,7 +21,7 @@ for n in COUNTS:
     curves[n] = estimator_bias(model, problem.prior, n).values
 
 problem1, _ = noon_model(NoonParams(10), SUPPORT, GRID_M, 1)
-optimal = solve_optimal_bias(problem1).values
+optimal = solve_optimal_bias(problem1)[0].values
 x = problem1.grid.nodes()
 
 header = f"{'x':>9} {'b_opt(n=1)':>11} " + " ".join(f"bias n={n:<3}" for n in COUNTS)

@@ -16,11 +16,11 @@ where q is the midpoint mean of J/p, G the forward difference and W the
 diagonal of cell width (h, or h/2 at the two end nodes) times p. S is
 strictly diagonally dominant by h q, so it stays well conditioned as
 J -> 0, and it needs no derivative of p or J. solve_optimal_bias
-rescales it and splits off its diagonal so that the bias is read off
-without cancellation at either end of the information range. For a
-uniform prior and constant J the solution and the bound are closed-form
-hyperbolics; the variational route must reproduce them, which
-is the main cross-check in the test suite.
+rescales it and splits off its diagonal so that the bias b and the slope
+b' that F needs are read off without cancellation at either end of the
+information range. For a uniform prior and constant J the solution and
+the bound are closed-form hyperbolics; the variational route must
+reproduce them, which is the main cross-check in the test suite.
 """
 from __future__ import annotations
 
@@ -147,18 +147,8 @@ def _cell_weights(p: EstimationProblem) -> tuple[np.ndarray, np.ndarray]:
     return mass, 0.5 * (ratio[:-1] + ratio[1:])
 
 
-@dataclass(frozen=True, eq=False)
-class _SolvedBias(GridFunction):
-    """A solved bias that carries its derivative, taken from the flux."""
-
-    slope: GridFunction
-
-    def derivative(self) -> GridFunction:
-        return self.slope
-
-
-def solve_optimal_bias(p: EstimationProblem) -> GridFunction:
-    """Solve the optimal-bias problem on the problem grid in flux form.
+def solve_optimal_bias(p: EstimationProblem) -> tuple[GridFunction, GridFunction]:
+    """Solve the optimal-bias problem in flux form: (b, b') on the problem grid.
 
     S sigma = Delta x (see the module docstring) is solved for y = r sigma
     with r = sqrt(h q), so the system reads (I + K) y = Delta x / r with
@@ -172,12 +162,12 @@ def solve_optimal_bias(p: EstimationProblem) -> GridFunction:
     and neither difference cancels: at small information Delta x is the
     large part of Delta b, at large information both parts of Delta b are
     small. b is Delta b summed from the left, shifted so that sum(w p b) = 0
-    (the discrete sigma' = p b summed over the whole support). Its
-    derivative() is the five-point derivative of the running sum of
-    Delta(x + b), minus 1: at small information that sum is O(J) while b
-    is not, so it carries none of the rounding noise that differentiating b
-    picks up as J -> 0. Raises SingularSystem where h^2 underflows or K
-    overflows (n J below about 1e-301 on 4001 nodes).
+    (the discrete sigma' = p b summed over the whole support). The slope
+    is the five-point derivative of the running sum of Delta(x + b),
+    minus 1: at small information that sum is O(J) while b is not, so it
+    carries none of the rounding noise that differentiating b picks up as
+    J -> 0. Raises SingularSystem where h^2 underflows or K overflows (n J
+    below about 1e-301 on 4001 nodes).
     """
     grid = p.grid
     h = grid.h
@@ -203,8 +193,9 @@ def solve_optimal_bias(p: EstimationProblem) -> GridFunction:
     t = solve_tridiagonal(1.0 + k, off, rhs)
     b = np.concatenate(([0.0], np.cumsum(r * (t - k * y0))))
     b -= _dot(mass, b) / mass.sum()
+    bias = GridFunction(grid, b)
     running = GridFunction(grid, np.concatenate(([0.0], np.cumsum(r * (y0 + t)))))
-    bias = _SolvedBias(grid, b, GridFunction(grid, running.derivative().values - 1.0))
+    slope = GridFunction(grid, running.derivative().values - 1.0)
 
     residual = bias_ode_residual(p, bias)
     if residual > RESIDUAL_WARN_TOL:
@@ -214,7 +205,7 @@ def solve_optimal_bias(p: EstimationProblem) -> GridFunction:
             RuntimeWarning,
             stacklevel=2,
         )
-    return bias
+    return bias, slope
 
 
 def bias_ode_residual(p: EstimationProblem, b: GridFunction) -> float:
@@ -234,12 +225,7 @@ def bias_ode_residual(p: EstimationProblem, b: GridFunction) -> float:
 
 
 def obb_variational(p: EstimationProblem) -> BoundReport:
-    """Optimal biased bound via the solved bias.
-
-    Evaluates F[b] with Simpson's rule at the solved bias and its
-    derivative().
-    """
-    bias = solve_optimal_bias(p)
-    value = bound_functional(p, bias, bias.derivative())
-    residual = bias_ode_residual(p, bias)
-    return BoundReport(value, bias, residual)
+    """Optimal biased bound: F[b] by Simpson's rule at the solved bias and slope."""
+    bias, slope = solve_optimal_bias(p)
+    value = bound_functional(p, bias, slope)
+    return BoundReport(value, bias, bias_ode_residual(p, bias))

@@ -218,8 +218,11 @@ def _flag_settings(args: argparse.Namespace, file_params) -> dict:
                           "values": [v for v in values.split(",") if v.strip()]}
     # params that are no object stay in place, for _resolve_params to reject
     if args.param and isinstance(file_params, dict):
-        flags["params"] = {**file_params,
-                           **dict(_split(item, "--param") for item in args.param)}
+        given = [_split(item, "--param") for item in args.param]
+        for i, (key, _) in enumerate(given):
+            if key in dict(given[:i]):
+                raise ConfigError(f"--param {key} is given twice")
+        flags["params"] = {**file_params, **dict(given)}
     return {k: v for k, v in flags.items() if v is not None}
 
 

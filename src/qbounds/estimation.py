@@ -22,8 +22,8 @@ import numpy as np
 
 from .core import GridFunction, ParameterGrid, PriorDensity
 from .errors import DomainError
-from .numerics import (_check_probabilities, _dot, composite_simpson, likelihood_blocks,
-                       log_binomial_pmf_vector, simpson_weights)
+from .numerics import (_check_probabilities, _dot, _repetition_count, composite_simpson,
+                       likelihood_blocks, log_binomial_pmf_vector, simpson_weights)
 
 __all__ = [
     "BinaryMeasurementModel",
@@ -58,14 +58,14 @@ class MmseReport:
 
 
 def _prior_weights(m: BinaryMeasurementModel, prior: PriorDensity, n: int):
-    """(nodes x, wp = Simpson weights times the prior density, columns [wp, wp x])
-    once n >= 0 and the model and prior share one grid; else DomainError."""
-    if n < 0:
-        raise DomainError(f"repetition count must be >= 0, got {n}")
+    """(the int n, nodes x, wp = Simpson weights times the prior density, columns
+    [wp, wp x]) once n is an integer >= 0 and the model and prior share one grid;
+    else DomainError."""
+    n = _repetition_count(n)
     if m.grid != prior.grid:
         raise DomainError("measurement model and prior must share one grid")
     x, wp = m.grid.nodes(), simpson_weights(m.grid.m, m.grid.h) * prior.samples.values
-    return x, wp, np.column_stack([wp, wp * x])
+    return n, x, wp, np.column_stack([wp, wp * x])
 
 
 def _posterior_means(sums, x, wp):
@@ -121,7 +121,7 @@ def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseRepo
     for the outcomes the model rules out) get the prior mean as their
     estimate and carry no weight in the risk.
     """
-    x, wp, weights = _prior_weights(m, prior, n)
+    n, x, wp, weights = _prior_weights(m, prior, n)
     # the O(n) outcome sums come first, so a hopeless n fails before any block
     sums, spread = np.zeros((n + 1, 2)), np.zeros(n + 1)  # evidence, first moment
     for cols, rows, block in likelihood_blocks(n, m.p1.values):
@@ -147,7 +147,7 @@ def estimator_bias(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> Gr
     products in its order, so the estimates are mmse_mse's to the bit, but
     takes no spread; the second averages the estimates over each column.
     """
-    x, wp, weights = _prior_weights(m, prior, n)
+    n, x, wp, weights = _prior_weights(m, prior, n)
     sums = np.zeros((n + 1, 2))  # evidence, first moment
     for cols, rows, block in likelihood_blocks(n, m.p1.values):
         sums[rows] += block @ weights[cols]
@@ -166,7 +166,7 @@ def mse_via_decomposition(
     \\int p(x) [ Var(x_hat | x) + bias(x)^2 ] dx over the dense likelihood
     table; independent route used to cross-check mmse_mse.
     """
-    x, wp, weights = _prior_weights(m, prior, n)
+    n, x, wp, weights = _prior_weights(m, prior, n)
     like = log_binomial_pmf_vector(n, m.p1.values)      # (n+1, m)
     estimates, _ = _posterior_means(like @ weights, x, wp)
     conditional_mean = estimates @ like

@@ -50,7 +50,7 @@ class NoonParams:
 
 @dataclass(frozen=True)
 class DephasingParams:
-    """Dephasing qubit; eta = exp(-gamma) is derived from the decay rate."""
+    """Dephasing qubit, eta = exp(-gamma); from_eta keeps the eta it is given."""
 
     gamma: float
     eta: float = field(init=False)
@@ -64,7 +64,9 @@ class DephasingParams:
     def from_eta(cls, eta: float) -> "DephasingParams":
         if not 0.0 < eta <= 1.0:
             raise DomainError(f"eta must lie in (0, 1], got {eta}")
-        return cls(-math.log(eta))
+        params = cls(-math.log(eta))
+        object.__setattr__(params, "eta", float(eta))
+        return params
 
 
 @dataclass(frozen=True)

@@ -117,14 +117,20 @@ def _check_probabilities(p1: np.ndarray) -> None:
         raise DomainError("p1 samples must lie in [0, 1]")
 
 
-def _column_terms(n: int, p1) -> tuple[np.ndarray, ...]:
-    """Check n >= 0 and p1; per column (q, mirror, log_odds, log_q0), whose
-    log-cell at row k is kk log_odds + log_q0 + log C(n, kk), in that order:
+def _repetition_count(n) -> int:
+    """n as an int; DomainError unless it is an integer >= 0 (2.0 counts as 2)."""
+    if not (n >= 0 and n % 1 == 0):
+        raise DomainError(f"repetition count must be an integer >= 0, got {n!r}")
+    return int(n)
+
+
+def _column_terms(n, p1) -> tuple:
+    """Check n and p1; the int n, then per column (q, mirror, log_odds, log_q0),
+    whose log-cell at row k is kk log_odds + log_q0 + log C(n, kk), in that order:
     q = min(p1, 1 - p1), log_odds = log(q/(1-q)), log_q0 = n log1p(-q), and
     kk = n - k where mirror (p1 > 1/2; 1 - p1 is exact there, so the pair
     (k, p) and (n - k, 1 - p) runs the same arithmetic), else kk = k."""
-    if n < 0:
-        raise DomainError(f"repetition count must be >= 0, got {n}")
+    n = _repetition_count(n)
     p1 = np.asarray(p1, dtype=float)
     _check_probabilities(p1)
     mirror = p1 > 0.5
@@ -133,7 +139,7 @@ def _column_terms(n: int, p1) -> tuple[np.ndarray, ...]:
         log_odds = np.log(q / (1.0 - q))
     # q = 0: a finite stand-in for log 0 keeps 0 * log_odds = 0 at kk = 0
     np.maximum(log_odds, -np.finfo(float).max, out=log_odds)
-    return q, mirror, log_odds, n * np.log1p(-q)
+    return n, q, mirror, log_odds, n * np.log1p(-q)
 
 
 def _log_pmf_rows(n, rows, mirror, log_odds, log_q0, buffer) -> np.ndarray:
@@ -167,7 +173,7 @@ def log_binomial_pmf_vector(n: int, p1: np.ndarray) -> np.ndarray:
     whose log is below _LOG_FLOOR reads exactly 0.0, so every cell is 0.0 or
     a normal double.
     """
-    _, *columns = _column_terms(n, p1)
+    n, _, *columns = _column_terms(n, p1)
     return _log_pmf_rows(n, slice(0, n + 1), *columns, np.empty((n + 1) * columns[0].size))
 
 
@@ -187,7 +193,7 @@ def likelihood_blocks(n: int, p1: np.ndarray):
     are the union of its columns' bands. _column_terms runs once, and every
     block is written into one buffer, valid until the next is yielded.
     """
-    q, *columns = _column_terms(n, p1)  # columns: mirror, log_odds, log_q0
+    n, q, *columns = _column_terms(n, p1)  # columns: mirror, log_odds, log_q0
     if not q.size:
         return
     lo, hi = _band(n, q, *columns)

@@ -583,6 +583,16 @@ class TestParameterChecks:
             # n * J overflowed past the checks and made the obb nan
             pytest.param(("bounds", "--example", "interferometer", "--n", "999999999999",
                           "--param", "n_a=1e297"), None, id="nJ-overflows"),
+            # the last of a repeated key ran without a word
+            pytest.param(("bounds", "--example", "noon", "--n", "1",
+                          "--param", "N=10", "--param", "N=9"), None, id="repeated-param"),
+            pytest.param(("bounds", "--n", "1"), {"example": "noon", "params": [1]},
+                         id="config-params-list"),
+            pytest.param(("bounds",), [1], id="config-not-object"),
+            pytest.param(("bounds", "--example", "dephasing", "--n-range", "1:3",
+                          "--sweep", "eta=0.1,0.2"), None, id="sweep-with-n-range"),
+            pytest.param(("bias", "--example", "noon", "--n", "1", "--stride", "0"),
+                         None, id="zero-stride"),
         ],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, argv, cfg):

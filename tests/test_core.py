@@ -109,3 +109,6 @@ class TestValidateProblem:
         other = ParameterGrid(0.0, 1.0, 13)
         with pytest.raises(DomainError, match="share one grid"):
             EstimationProblem(prior, GridFunction(other, np.ones(13)))
+        # samples are counted against their own grid
+        with pytest.raises(DomainError, match="expected 13 samples"):
+            GridFunction(other, np.ones(11))

@@ -183,12 +183,36 @@ class TestMmseMse:
         b20 = estimator_bias(model, problem20.prior, 20)
         assert np.max(np.abs(b20.values)) < np.max(np.abs(b1.values))
 
-    @pytest.mark.parametrize("route", [mmse_mse, estimator_bias])
-    @pytest.mark.parametrize("n", [-1, -2])
+    @pytest.mark.parametrize("route", [mmse_mse, estimator_bias, mse_via_decomposition])
+    @pytest.mark.parametrize("n", [-1, -2, 2.5, math.nan])
     def test_negative_repetition_count_rejected(self, n, route):
+        # a fractional or nan n raised numpy's TypeError or IndexError
         problem, model = noon(m=101)
-        with pytest.raises(DomainError, match="repetition count"):
+        with pytest.raises(DomainError, match="repetition count must be an integer >= 0"):
             route(model, problem.prior, n)
+
+    def test_integral_float_repetition_count_accepted(self):
+        # 2.0 counts as 2, as NoonParams(10.0) counts as N = 10
+        problem, model = noon(m=101)
+        as_int, as_float = (mmse_mse(model, problem.prior, n) for n in (2, 2.0))
+        np.testing.assert_array_equal(as_float.estimates, as_int.estimates)
+        np.testing.assert_array_equal(as_float.zero_evidence, as_int.zero_evidence)
+        assert as_float.mse == as_int.mse
+        np.testing.assert_array_equal(estimator_bias(model, problem.prior, 2.0).values,
+                                      estimator_bias(model, problem.prior, 2).values)
+        assert (mse_via_decomposition(model, problem.prior, 2.0)
+                == mse_via_decomposition(model, problem.prior, 2))
+        for (c1, r1, b1), (c2, r2, b2) in zip(likelihood_blocks(2.0, model.p1.values),
+                                              likelihood_blocks(2, model.p1.values)):
+            assert (c1, r1) == (c2, r2)
+            np.testing.assert_array_equal(b1, b2)
+
+    @pytest.mark.parametrize("route", [mmse_mse, estimator_bias, mse_via_decomposition])
+    def test_model_and_prior_on_other_grids_rejected(self, route):
+        _, model = noon(m=101)
+        other, _ = noon(m=103)
+        with pytest.raises(DomainError, match="share one grid"):
+            route(model, other.prior, 1)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
     def test_p1_outside_unit_interval_rejected(self, bad):
@@ -260,7 +284,7 @@ class TestScipyFreeKernels:
 
 def band(n, p1):
     """Per column, the first and last row the walk keeps."""
-    return numerics._band(n, *numerics._column_terms(n, p1))
+    return numerics._band(*numerics._column_terms(n, p1))
 
 
 class TestBandedLikelihood:
@@ -357,7 +381,7 @@ class TestBandedLikelihood:
         """The band is the first and last row whose log-cell, computed for every
         row in the kernel's order, is at or above the edge, and every row in
         between is kept; the kernel's cells are the exp of those log-cells."""
-        _, mirror, log_odds, log_q0 = numerics._column_terms(n, p1)
+        _, _, mirror, log_odds, log_q0 = numerics._column_terms(n, p1)
         lo, hi = band(n, p1)
         k = np.arange(n + 1)[:, None]
         step = max(1, (1 << 20) // (n + 1))  # columns at a time, to bound memory

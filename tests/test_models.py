@@ -44,6 +44,14 @@ class TestDephasing:
         assert p.eta == pytest.approx(math.exp(-0.5), abs=1e-15)
         assert DephasingParams.from_eta(0.25).gamma == pytest.approx(math.log(4.0))
 
+    def test_from_eta_keeps_eta(self):
+        # exp(-(-ln eta)) read 0.10000000000000002 for 0.1, and moved one draw in seven
+        draws = np.random.default_rng(28).uniform(0.0, 1.0, 1000)
+        for eta in (0.1, *(d for d in draws.tolist() if d > 0.0)):
+            params = DephasingParams.from_eta(eta)
+            assert params.eta == eta
+            assert params.gamma == -math.log(eta)
+
     def test_noiseless_limit(self):
         problem, model = dephasing_model(DephasingParams(0.0), (0.0, math.pi), 401, 1)
         np.testing.assert_array_equal(problem.qfi.values, 1.0)
