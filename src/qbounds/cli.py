@@ -183,11 +183,21 @@ def _resolve_params(example: str, given, sweep):
     return params, sweep
 
 
+def _once(pairs, name: str = "config key") -> dict:
+    """The (key, value) pairs as a dict; ConfigError if a key is given twice."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"{name} {key} is given twice")
+        out[key] = value
+    return out
+
+
 def _load_config_file(path: str) -> dict:
     """A config file's settings, or a report's config echo (its command unused)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_once)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -218,11 +228,8 @@ def _flag_settings(args: argparse.Namespace, file_params) -> dict:
                           "values": [v for v in values.split(",") if v.strip()]}
     # params that are no object stay in place, for _resolve_params to reject
     if args.param and isinstance(file_params, dict):
-        given = [_split(item, "--param") for item in args.param]
-        for i, (key, _) in enumerate(given):
-            if key in dict(given[:i]):
-                raise ConfigError(f"--param {key} is given twice")
-        flags["params"] = {**file_params, **dict(given)}
+        given = _once((_split(item, "--param") for item in args.param), "--param")
+        flags["params"] = {**file_params, **given}
     return {k: v for k, v in flags.items() if v is not None}
 
 

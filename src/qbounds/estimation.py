@@ -11,8 +11,13 @@ with no spread, then their mean per column. ``mse_via_decomposition``
 recomputes the risk as variance plus squared bias over the dense (n+1) x m
 table, an independent check. All three sum evidence and first moment as one
 (n+1, 2) array against the columns [wp, wp x] of ``_prior_weights``, and
-``_posterior_means`` alone forms the prior mean. Integrals are Simpson sums
-on the shared grid; no Monte Carlo, so every quantity is deterministic.
+``_posterior_means`` alone forms the prior mean. The walks hand those columns
+to ``likelihood_blocks``, which then skips, where that pays, the cells below
+E0(k) - span, E0(k) being outcome k's largest log-cell: they carry at most
+2^-60 of each outcome's evidence and |first moment| and of each column's
+mass, for any prior and grid, so no zero-evidence flag moves. Integrals are
+Simpson sums on the shared grid; no Monte Carlo, so every quantity is
+deterministic.
 """
 from __future__ import annotations
 
@@ -124,7 +129,7 @@ def mmse_mse(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> MmseRepo
     n, x, wp, weights = _prior_weights(m, prior, n)
     # the O(n) outcome sums come first, so a hopeless n fails before any block
     sums, spread = np.zeros((n + 1, 2)), np.zeros(n + 1)  # evidence, first moment
-    for cols, rows, block in likelihood_blocks(n, m.p1.values):
+    for cols, rows, block in likelihood_blocks(n, m.p1.values, weights):
         part = block @ weights[cols]
         w, (w_run, s_run) = part[:, 0], sums[rows].T
         mean, own = _block_spread(block, x[cols], wp[cols], w)
@@ -149,11 +154,11 @@ def estimator_bias(m: BinaryMeasurementModel, prior: PriorDensity, n: int) -> Gr
     """
     n, x, wp, weights = _prior_weights(m, prior, n)
     sums = np.zeros((n + 1, 2))  # evidence, first moment
-    for cols, rows, block in likelihood_blocks(n, m.p1.values):
+    for cols, rows, block in likelihood_blocks(n, m.p1.values, weights):
         sums[rows] += block @ weights[cols]
     estimates, _ = _posterior_means(sums, x, wp)
     conditional_mean = np.empty(m.grid.m)
-    for cols, rows, block in likelihood_blocks(n, m.p1.values):
+    for cols, rows, block in likelihood_blocks(n, m.p1.values, weights):
         conditional_mean[cols] = estimates[rows] @ block
     return GridFunction(m.grid, conditional_mean - x)
 

@@ -6,6 +6,12 @@ likelihood table, whole or in blocks over its exact band, from one log-cell
 formula, all on plain arrays. Every 1-D sum over nodes is _dot's pairwise
 sum, which calls no BLAS, so no digit depends on the BLAS thread count.
 
+The band keeps, per column, the rows whose log-cell is at or above
+_LOG_BAND_EDGE, so every cell outside it reads 0.0. A walk given its weights
+also skips, for n > _CUT_FROM span, the cells below E0(k) - span, E0(k) being
+outcome k's largest log-cell: they carry at most 2^-60 of every outcome's
+weighted sums and of every column's mass (_cut_edge).
+
 A log-cell starts as one BLAS product of the row factors (k, n - k, 1) and
 the column factors (log_odds or 0, 0 or log_odds, log_q0). Of its three terms
 one is an exact zero, so any grouping BLAS picks adds log_q0 to one rounded
@@ -184,41 +190,133 @@ _BLOCK_CELLS = 1 << 16
 _BLOCK_MIN_WIDTH = 16
 
 
-def likelihood_blocks(n: int, p1: np.ndarray):
+def likelihood_blocks(n: int, p1: np.ndarray, weights=None):
     """Yield (cols, rows, block), two slices and log_binomial_pmf_vector(n, p1)
-    [rows, cols] to the bit; every cell outside the blocks is exactly 0.0.
+    [rows, cols] to the bit. With no weights every cell outside the blocks is
+    exactly 0.0. Given the (m, j) weights a walk multiplies its blocks by, the
+    cells outside carry at most 2^-60 of each outcome's sum of |weights| x
+    cells, per weight column, and of each column's sum over outcomes (see
+    _cut_edge).
 
     Columns go in chunks of max(_BLOCK_MIN_WIDTH, _BLOCK_CELLS // L), L the
     widest _band's length (the last chunk may be narrower); a block's rows
-    are the union of its columns' bands. _column_terms runs once, and every
-    block is written into one buffer, valid until the next is yielded.
+    are the union of its columns' bands. Where bands drift apart across a
+    chunk (coarse grids, narrow cut bands), the width halves until no block
+    holds over 2 _BLOCK_CELLS cells or it reaches _BLOCK_MIN_WIDTH.
+    _column_terms runs once, and every block is written into one buffer,
+    valid until the next is yielded.
     """
     n, q, *columns = _column_terms(n, p1)  # columns: mirror, log_odds, log_q0
     if not q.size:
         return
-    lo, hi = _band(n, q, *columns)
+    lo, hi = _band(n, q, *columns, _cut_edge(n, p1, weights, *columns))
     width = max(_BLOCK_MIN_WIDTH, _BLOCK_CELLS // int((hi - lo).max() + 1))
-    starts = np.arange(0, q.size, width)
-    lows, highs = np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
-    buffer = np.empty(int(((highs - lows + 1) * np.diff(starts, append=q.size)).max()))
+    while True:
+        starts = np.arange(0, q.size, width)
+        lows, highs = np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
+        cells = int(((highs - lows + 1) * np.diff(starts, append=q.size)).max())
+        if width == _BLOCK_MIN_WIDTH or cells <= 2 * _BLOCK_CELLS:
+            break
+        width = max(_BLOCK_MIN_WIDTH, width // 2)
+    buffer = np.empty(cells)
     for start, first, last in zip(starts.tolist(), lows.tolist(), highs.tolist()):
         cols, rows = slice(start, min(start + width, q.size)), slice(first, last + 1)
         yield cols, rows, _log_pmf_rows(n, rows, *(c[cols] for c in columns), buffer)
 
 
-def _band(n, q, mirror, log_odds, log_q0) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of _column_terms, the first and last k whose log-cell is >= _LOG_BAND_EDGE.
+# A skipped cell lies below its outcome's largest cell by the span, at least
+# 60 ln 2 nats plus the margin of _LOG_BAND_EDGE for the log-cells' rounding.
+_CUT_NATS = 60.0 * math.log(2.0) + (_LOG_FLOOR - _LOG_BAND_EDGE)
+# The cut shortens the widest band, about sqrt(2 n span) rows, once n > 2 span;
+# its bisections over every column pay from about twice that: mmse_mse on
+# 4001 nodes, where the span is 57, broke even at n = 170-300.
+_CUT_FROM = 4.0
+
+
+def _cut_edge(n, p1, weights, mirror, log_odds, log_q0):
+    """Per outcome k, the least log-cell a walk with these weights keeps,
+    max(_LOG_BAND_EDGE, E0(k) - span), or None (_band's own edge) with no
+    finite weights or where the cut would not pay, n <= _CUT_FROM span.
+
+    E0(k), outcome k's largest log-cell, is at one of the two samples that
+    bracket k/n: the log-cell is strictly concave in p1. A skipped cell is
+    below e^(E0(k) - span); the span is _CUT_NATS plus the larger of
+      (a) over the outcomes the cut reaches and the columns u of |weights|,
+          the largest E0(k) + log sum(u) - log max_c u_c cell(k, c), the max
+          taken over E0's column and its grid neighbours, so bounded below;
+      (b) log sum_k e^E0(k).
+    So the skipped cells carry at most 2^-60 of every outcome's u-weighted
+    sum (a) and of every column's mass (b), for any prior and grid; the span
+    grows, to inf where no candidate cell has weight. E0(k) - log C(n, k),
+    a max of functions linear in k, is convex, so a column keeps one run.
+    """
+    if weights is None or n <= _CUT_FROM * _CUT_NATS or not np.isfinite(weights).all():
+        return None
+    p1, u = np.asarray(p1, dtype=float), np.abs(weights)
+    # log 0 = -inf at a zero weight; a sum past the double range makes the span inf
+    with np.errstate(divide="ignore", over="ignore"):
+        u = u[:, u.sum(axis=0) > 0.0]  # a column of zeros asks nothing
+        log_u, log_total = np.log(u), np.log(u.sum(axis=0))
+    # An outcome whose peak is in column c has (a) at most own[c], from that
+    # cell alone. Its grid neighbours can lower that only where they weigh
+    # more, and are tried where one weighs over 4x more (a zero weight, an
+    # end of x = 0): elsewhere own[c] is at most log 4 loose.
+    own = (log_total - log_u).max(axis=1, initial=-np.inf)
+    side = np.pad(log_u, ((1, 1), (0, 0)), constant_values=-np.inf) - math.log(4.0)
+    lift = np.any((side[:-2] > log_u) | (side[2:] > log_u), axis=1)
+
+    def log_cells(k, cols):
+        return _log_cells(n, np.where(mirror[cols], n - k, k), log_odds[cols], log_q0[cols])
+
+    order = np.argsort(p1)
+    # per row k, the number of samples below k/n, so the two that bracket it
+    below = np.bincount(np.floor(p1[order] * n).astype(int) + 1, minlength=n + 2).cumsum()
+    peak, slack, seen, rows = np.empty(n + 1), -np.inf, np.zeros(p1.size, bool), 1 << 14
+    for start in range(0, n + 1, rows):  # rows at a time: temporaries of about 1 MB
+        k = np.arange(start, min(start + rows, n + 1))
+        pair = order[np.clip([below[k] - 1, below[k]], 0, p1.size - 1)]
+        cells = log_cells(k, pair)
+        peak[k], top = cells.max(axis=0), np.where(cells[1] > cells[0], pair[1], pair[0])
+        reach = peak[k] >= _LOG_BAND_EDGE + _CUT_NATS
+        k, top = k[reach], top[reach]
+        seen[top] = True
+        k, top = k[lift[top]], top[lift[top]]
+        near = np.clip(top + np.array([[-1], [0], [1]]), 0, p1.size - 1)
+        cells = log_cells(k, near)
+        best = np.max(np.where(cells >= _LOG_FLOOR, cells, -np.inf)[..., None]
+                      + log_u[near], axis=0)
+        slack = np.maximum(slack, (peak[k, None] + log_total - best).max(initial=-np.inf))
+    slack = np.maximum(slack, own[seen & ~lift].max(initial=-np.inf))  # (a)
+    span = _CUT_NATS + np.maximum(slack, peak.max() + np.log(np.exp(peak - peak.max()).sum()))  # (b)
+    if n <= _CUT_FROM * span:
+        return None
+    return np.maximum(_LOG_BAND_EDGE, peak - span)
+
+
+def _log_cells(n, kk, log_odds, log_q0):
+    """The log-cells at rows kk (kk = n - k in mirrored columns) of columns with
+    these terms of _column_terms, summed in the kernel's order."""
+    with np.errstate(over="ignore"):  # q = 0: kk * -max overflows to -inf
+        return kk * log_odds + log_q0 + _log_binomial_coefficients(n)[kk]
+
+
+def _band(n, q, mirror, log_odds, log_q0, edge=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of _column_terms, the first and last k whose log-cell is at
+    or above the edge: _LOG_BAND_EDGE, or edge[k] when _cut_edge gives one.
 
     The log-cell is the kernel's own, summed in its order, so every cell
-    outside the band reads 0.0. It is concave in kk and peaks far above the
-    edge at the mode floor((n + 1) q), from which an integer bisection per
-    side finds the edge; mirrored columns map back by k = n - kk. Reads the
-    cached log C(n, k) table: O(n) memory, like the walk that uses it.
+    outside the band reads 0.0 or is one _cut_edge may skip. Less the edge,
+    it is concave in kk and peaks far above 0 at the mode floor((n + 1) q),
+    from which an integer bisection per side finds the edge: there the cell
+    is within n KL(k/n || q) <= 4 nats of E0(k), and _CUT_NATS is over 41.
+    Mirrored columns map back by k = n - kk. Reads the cached log C(n, k)
+    table: O(n) memory, like the walk that uses it.
     """
     def kept(kk, cols):
-        log_c = _log_binomial_coefficients(n)[kk]
-        with np.errstate(over="ignore"):  # q = 0: kk * -max overflows to -inf
-            return kk * log_odds[cols] + log_q0[cols] + log_c >= _LOG_BAND_EDGE
+        cells = _log_cells(n, kk, log_odds[cols], log_q0[cols])
+        if edge is None:
+            return cells >= _LOG_BAND_EDGE
+        return cells >= edge[np.where(mirror[cols], n - kk, kk)]
 
     # Only columns whose end cell is below the edge bisect: at small n almost
     # none do, and bisecting them all would cost 3x (noon n = 30, 4001 nodes).

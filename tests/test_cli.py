@@ -607,6 +607,18 @@ class TestParameterChecks:
         assert err.startswith("qbounds: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    # json keeps the last of a repeated key, so these ran N = 9 and exited 0
+    @pytest.mark.parametrize("text, key", [
+        ('{"example": "noon", "params": {"N": 10, "N": 9}, "n_list": [1]}', "N"),
+        ('{"example": "noon", "n_list": [1], "n_list": [2]}', "n_list"),
+    ], ids=["nested", "top-level"])
+    def test_repeated_config_key_rejected_with_exit_2(self, tmp_path, capsys, text, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, csv_text, _ = run(tmp_path, "bounds", "--config", str(path), *GRID)
+        assert (code, csv_text) == (2, None)
+        assert capsys.readouterr().err == f"qbounds: config key {key} is given twice\n"
+
     def test_fractional_grid_rejected_with_exit_2(self, tmp_path, capsys):
         # not a case of the table above: it appends its own --grid
         code, csv_text, _ = run(tmp_path, "bounds", "--example", "noon", "--n", "1",

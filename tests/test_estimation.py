@@ -241,6 +241,13 @@ def dense_route(model, prior, n):
     return estimates, zero, evidence, estimates @ like
 
 
+def walk_weights(problem):
+    """The (m, 2) columns [wp, wp x] that mmse_mse and estimator_bias walk with."""
+    x = problem.grid.nodes()
+    wp = simpson_weights(problem.grid.m, problem.grid.h) * problem.prior.samples.values
+    return np.column_stack([wp, wp * x])
+
+
 def long_double_risk(model, prior, n):
     """Bayes risk summed cell by cell over the dense table in long double."""
     like = log_binomial_pmf_vector(n, model.p1.values).astype(np.longdouble)
@@ -506,14 +513,129 @@ class TestBandedLikelihood:
         _, model = BUILDERS["noon"](4001)
         assert len(list(likelihood_blocks(3000, model.p1.values))) > 1
 
+    @staticmethod
+    def assert_skipped_cells_are_negligible(n, p1, weights):
+        """Outside the blocks of the walk with these weights, the dense table's
+        cells carry at most 2^-60 of each outcome's |weights|-weighted sums and
+        of each column's sum over outcomes; returns those sums."""
+        table = log_binomial_pmf_vector(n, p1)
+        u = np.abs(weights)
+        sums, mass = table @ u, table.sum(axis=0)
+        for cols, rows, block in likelihood_blocks(n, p1, weights):
+            np.testing.assert_array_equal(block, table[rows, cols])
+            table[rows, cols] = 0.0
+        # scaled up, not down, so that no bound underflows
+        assert np.all((table @ u) * 2.0**60 <= sums)
+        assert np.all(table.sum(axis=0) * 2.0**60 <= mass)
+        return sums
+
+    @pytest.mark.parametrize("m", [3, 5, 401, 4001])
+    @pytest.mark.parametrize("n", [0, 1, 30, 300, 3000])
+    @pytest.mark.parametrize("example", BUILDERS)
+    def test_weighted_walk_skips_only_negligible_cells(self, example, n, m):
+        problem, model = BUILDERS[example](m)
+        sums = self.assert_skipped_cells_are_negligible(n, model.p1.values,
+                                                        walk_weights(problem))
+        # the products of the dense route's evidence, so its zero-evidence mask
+        np.testing.assert_array_equal(mmse_mse(model, problem.prior, n).zero_evidence,
+                                      sums[:, 0] <= 0.0)
+
+    # the span's rows go 2^14 at a time
+    @pytest.mark.parametrize("example", ["noon", "field"])
+    def test_weighted_walk_skips_only_negligible_cells_at_large_n(self, example):
+        problem, model = BUILDERS[example](101)
+        self.assert_skipped_cells_are_negligible(40000, model.p1.values, walk_weights(problem))
+        cells = [sum(block.size for _, _, block in likelihood_blocks(40000, model.p1.values, w))
+                 for w in (None, walk_weights(problem))]
+        assert cells[1] < cells[0]
+
+    # On a coarse grid the cut bands are narrow against their drift across a
+    # chunk of columns: the width halves until no block holds over twice the
+    # budget, or the width is at its floor.
+    @pytest.mark.parametrize("m, n", [(101, 3000), (101, 40000), (401, 3000), (4001, 3000)])
+    @pytest.mark.parametrize("example", ["noon", "dephasing-0.8", "field"])
+    def test_blocks_hold_at_most_twice_the_budget(self, example, m, n):
+        problem, model = BUILDERS[example](m)
+        for weights in (None, walk_weights(problem)):
+            sizes = [(cols.stop - cols.start, block.size)
+                     for cols, _, block in likelihood_blocks(n, model.p1.values, weights)]
+            assert (sizes[0][0] == numerics._BLOCK_MIN_WIDTH
+                    or max(size for _, size in sizes) <= 2 * numerics._BLOCK_CELLS)
+
+    def test_width_halves_where_cut_bands_drift_apart(self):
+        problem, model = BUILDERS["noon"](401)
+        n, p1, weights = 3000, model.p1.values, walk_weights(problem)
+        terms = numerics._column_terms(n, p1)
+        lo, hi = numerics._band(*terms, numerics._cut_edge(n, p1, weights, *terms[2:]))
+        widest = max(16, numerics._BLOCK_CELLS // int((hi - lo).max() + 1))
+        cols, _, _ = next(likelihood_blocks(n, p1, weights))
+        assert cols.stop - cols.start == widest // 2
+
+    # where the weighted walk skips cells: the dense-route tolerances at 401 nodes
+    @pytest.mark.parametrize("n", [300, 3000])
+    @pytest.mark.parametrize("example", BUILDERS)
+    def test_matches_dense_route_on_401_nodes(self, example, n):
+        self.assert_matches_dense_route(example, n, 401)
+
+    # a prior that vanishes at some nodes, and nodes x of both signs
+    @given(n=st.integers(0, 5000), ramp=st.tuples(st.floats(0.0, 0.5), st.floats(0.5, 1.0),
+                                                  st.integers(2, 120)),
+           p1=P1_SAMPLES, data=st.data())
+    @example(n=3000, ramp=(0.0, 1.0, 101), p1=[0.5], data=None)
+    @settings(max_examples=100, deadline=None)
+    def test_vanishing_prior_never_drops_a_needed_cell(self, n, ramp, p1, data):
+        p1 = np.concatenate([np.linspace(*ramp), p1])
+        if data is None:
+            density = np.ones(p1.size)
+        else:
+            density = np.array(data.draw(st.lists(st.sampled_from([0.0, 1e-300, 1.0])
+                                                  | st.floats(0.0, 1.0),
+                                                  min_size=p1.size, max_size=p1.size)))
+        x = np.linspace(-1.0, 2.0, p1.size)
+        self.assert_skipped_cells_are_negligible(n, p1, np.column_stack([density,
+                                                                         density * x]))
+
+    def test_unbounded_evidence_keeps_the_whole_band(self):
+        # outcome 1500's largest cells are at p1 = 1/2 and its grid neighbours,
+        # where the prior is 0: no candidate bounds its evidence, so the span is
+        # inf and the walk is the unweighted one
+        n, p1 = 3000, np.linspace(0.0, 1.0, 401)
+        wp = np.ones(p1.size)
+        wp[199:202] = 0.0
+        assert numerics._cut_edge(n, p1, np.column_stack([wp, wp]),
+                                  *numerics._column_terms(n, p1)[2:]) is None
+        uniform = np.column_stack([np.ones(p1.size)] * 2)
+        assert numerics._cut_edge(n, p1, uniform, *numerics._column_terms(n, p1)[2:]) is not None
+        # so are weights, or their sums, past the double range
+        for big in (np.inf, 1e306):
+            assert numerics._cut_edge(n, p1, uniform * big,
+                                      *numerics._column_terms(n, p1)[2:]) is None
+
+    @pytest.mark.parametrize("n", [0, 1, 30, int(numerics._CUT_FROM * numerics._CUT_NATS)])
+    @pytest.mark.parametrize("example", BUILDERS)
+    def test_walk_below_the_gate_is_the_unweighted_walk(self, example, n):
+        problem, model = BUILDERS[example](4001)
+        weighted = likelihood_blocks(n, model.p1.values, walk_weights(problem))
+        for (c1, r1, b1), (c2, r2, b2) in zip(weighted, likelihood_blocks(n, model.p1.values),
+                                              strict=True):
+            assert (c1, r1) == (c2, r2)
+            np.testing.assert_array_equal(b1, b2)
+
+    def test_weighted_walk_keeps_fewer_cells_at_large_n(self):
+        problem, model = BUILDERS["noon"](4001)
+        cells = [sum(block.size for _, _, block in likelihood_blocks(3000, model.p1.values, w))
+                 for w in (None, walk_weights(problem))]
+        assert cells[1] < cells[0] / 2
+
     @pytest.mark.parametrize("n, m", [(0, 5), (1, 4001), (300, 401), (3000, 4001)])
     @pytest.mark.parametrize("example", ["noon", "dephasing-0.8", "field"])
     def test_bias_curve_averages_the_mmse_estimates(self, example, n, m):
-        # the bias walk sums the estimates as mmse_mse does, to the bit
+        # the bias walk sums the estimates as mmse_mse does, to the bit, over
+        # the blocks of the weights both walk with
         problem, model = BUILDERS[example](m)
         estimates = mmse_mse(model, problem.prior, n).estimates
         conditional_mean = np.empty(m)
-        for cols, rows, block in likelihood_blocks(n, model.p1.values):
+        for cols, rows, block in likelihood_blocks(n, model.p1.values, walk_weights(problem)):
             conditional_mean[cols] = estimates[rows] @ block
         np.testing.assert_array_equal(estimator_bias(model, problem.prior, n).values,
                                       conditional_mean - problem.grid.nodes())
