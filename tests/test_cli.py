@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -707,17 +708,101 @@ def csv_columns(draw):
     return rows, columns
 
 
+def format_reference(columns, rows):
+    """The data lines by the reference formatter the CSV has always been
+    defined by: each cell through format(..., ".12g"), a None column empty."""
+    return "".join(
+        ",".join("" if c is None else format(float(c[i]), ".12g") for c in columns)
+        + "\n" for i in range(rows))
+
+
+# chunk-edge runs of a given row count: int k and zero_evidence columns
+# (mmse), an empty mmse column (interferometer bounds), and bias
+CHUNKED_RUNS = {
+    "mmse": lambda rows: ("mmse", "--example", "field", "--n", str(rows - 1), *GRID),
+    "bounds": lambda rows: ("bounds", "--example", "interferometer",
+                            "--n-range", f"1:{rows}", *GRID),
+    "bias": lambda rows: ("bias", "--example", "noon", "--n", "1", *GRID,
+                          "--stride", str(-(-1001 // rows))),
+}
+
+
 class TestOutputContract:
     @given(csv_columns())
     @settings(max_examples=200, deadline=None)
     def test_render_csv_matches_format_reference(self, drawn):
         rows, columns = drawn
-        # the reference formatter the CSV has always been defined by
-        expected = ["x,bias_opt,bias_mmse"] + [
-            ",".join("" if c is None else format(float(c[i]), ".12g") for c in columns)
-            for i in range(rows)
-        ]
-        assert render_csv("bias", columns) == "\n".join(expected) + "\n"
+        # render_csv returns the data lines; main writes the header
+        assert render_csv("bias", columns) == format_reference(columns, rows)
+
+    @pytest.mark.parametrize("command", CHUNKED_RUNS)
+    @pytest.mark.parametrize("chunk, rows", [
+        (chunk, chunk + d) for chunk in (1, 2, 7) for d in (-1, 0, 1) if chunk + d
+    ])
+    def test_chunked_output_matches_format_reference(
+            self, tmp_path, capsys, monkeypatch, command, chunk, rows):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+        real, runs = cli._RUNNERS[command], []
+
+        def recorded(config):
+            runs.append(real(config))
+            return runs[-1]
+
+        monkeypatch.setitem(cli._RUNNERS, command, recorded)
+        argv = CHUNKED_RUNS[command](rows)
+        assert main(list(argv)) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        columns = runs[0][0]
+        assert len(columns[0]) == rows
+        expected = (",".join(cli._CSV_COLUMNS[command]) + "\n"
+                    + format_reference(columns, rows))
+        assert stdout == expected
+        assert out.read_text() == expected
+
+    @pytest.mark.parametrize("command, target", [
+        ("bias", "estimator_bias"), ("mmse", "mmse_mse"),
+    ])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_bad_last_row_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                         command, target, to_file):
+        # the last of several chunks holds the one nan cell
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+        real = getattr(cli, target)
+
+        def nan_at_last_row(*args):
+            result = real(*args)
+            if target == "estimator_bias":
+                values = result.values.copy()
+                values[-1] = math.nan
+                return GridFunction(result.grid, values)
+            estimates = result.estimates.copy()
+            estimates[-1] = math.nan
+            return replace(result, estimates=estimates)
+
+        monkeypatch.setattr(cli, target, nan_at_last_row)
+        argv = [command, "--example", "noon", "--n", "6", "--grid", "11"]
+        out = tmp_path / "out.csv"
+        assert main(argv + (["--out", str(out)] if to_file else [])) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        message = {"bias": f"x={math.pi / 10}: bias_mmse is nan",  # the prior's end
+                   "mmse": "k=6: estimate is nan"}[command]
+        assert captured.err == f"qbounds: output invariant violated: {message}\n"
+
+    def test_mmse_output_memory_does_not_grow_with_the_csv(self):
+        # the whole CSV rendered at once (3 columns of 200001 rows) peaks
+        # at 35 MB traced; rendered 4096 rows at a time, at 14 MB
+        tracemalloc.start()
+        try:
+            code = main(["mmse", "--example", "noon", "--n", "200000",
+                         "--out", os.devnull])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 20e6
 
     @pytest.mark.parametrize("command, row, message", [
         ("bounds", (1.0, 0.01, 0.005, math.nan, 1e-12), "axis=1.0: mmse is nan"),
