@@ -8,19 +8,21 @@ the solver residual that backs each bound value.
 import math
 
 from qbounds import (
+    DEFAULT_GRID_M,
     FieldParams,
     bayesian_qcrb,
     field_model,
     mmse_mse,
     obb_variational,
 )
+from qbounds.models import EXAMPLES
 
-GRID_M = 4001
-SUPPORT = (0.0, math.pi / 2.0)
+SUPPORT = EXAMPLES["field"].support
 
 print(f"{'n':>3} {'qcrb':>12} {'obb':>12} {'mmse':>12} {'ode_residual':>13}")
 for n in (1, 2, 3, 5, 10, 20, 30):
-    problem, model = field_model(FieldParams(math.pi / 2.0), SUPPORT, GRID_M, n)
+    problem, model = field_model(FieldParams(math.pi / 2.0), SUPPORT,
+                                 DEFAULT_GRID_M, n)
     qcrb = bayesian_qcrb(problem).value
     rep = obb_variational(problem)
     mse = mmse_mse(model, problem.prior, n).mse
@@ -29,6 +31,6 @@ for n in (1, 2, 3, 5, 10, 20, 30):
         f"{rep.residual:13.3e}"
     )
 
-problem, _ = field_model(FieldParams(math.pi / 2.0), SUPPORT, GRID_M, 1)
+problem, _ = field_model(FieldParams(math.pi / 2.0), SUPPORT, DEFAULT_GRID_M, 1)
 j = problem.qfi.values  # n * J(x) at n = 1
 print(f"\nJ(x) ranges over [{j.min():.3f}, {j.max():.3f}] on the support")

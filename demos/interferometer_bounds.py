@@ -5,18 +5,17 @@ numbers (with |alpha|^2 recovered from n_B = |alpha|^2 tanh |alpha|^2 by
 root-finding), but no closed-form outcome distribution comes with it, so
 there is no MMSE column here.
 """
-import math
-
 from qbounds import (
+    DEFAULT_GRID_M,
     InterferometerParams,
     bayesian_qcrb,
     interferometer_problem,
     interferometer_qfi,
     obb_variational,
 )
+from qbounds.models import EXAMPLES
 
-GRID_M = 4001
-SUPPORT = (0.0, math.pi / 5.0)
+SUPPORT = EXAMPLES["interferometer"].support
 
 params = InterferometerParams(n_a=1.0, n_b=1.0)
 print(f"|alpha|^2 = {params.alpha_sq:.6f}  (solves u tanh u = {params.n_b})")
@@ -24,7 +23,7 @@ print(f"single-shot QFI J = {interferometer_qfi(params):.6f}\n")
 
 print(f"{'n':>3} {'qcrb':>12} {'obb':>12}")
 for n in range(1, 31):
-    problem = interferometer_problem(params, SUPPORT, GRID_M, n)
+    problem = interferometer_problem(params, SUPPORT, DEFAULT_GRID_M, n)
     print(
         f"{n:>3} {bayesian_qcrb(problem).value:12.6g} "
         f"{obb_variational(problem).value:12.6g}"

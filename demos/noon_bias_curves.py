@@ -5,14 +5,13 @@ estimator, E[x_hat | x] - x, for several measurement counts, and the solved
 optimal bias that generates the OBB. The estimator bias shrinks as n grows --
 the transition into the asymptotic regime where unbiased analysis applies.
 """
-import math
-
 import numpy as np
 
 from qbounds import NoonParams, estimator_bias, noon_model, solve_optimal_bias
+from qbounds.models import EXAMPLES
 
 GRID_M = 2001
-SUPPORT = (0.0, math.pi / 10.0)
+SUPPORT = EXAMPLES["noon"].support
 COUNTS = (1, 2, 3, 15, 20)
 
 curves = {}

@@ -6,17 +6,22 @@ QCRB, the optimal biased bound (OBB), and the actual risk of the Bayesian
 posterior-mean (MMSE) estimator. At small n the MMSE risk dips *below* the
 QCRB -- the estimator is biased there, and only the OBB stays a valid floor.
 """
-import math
+from qbounds import (
+    DEFAULT_GRID_M,
+    NoonParams,
+    bayesian_qcrb,
+    mmse_mse,
+    noon_model,
+    obb_variational,
+)
+from qbounds.models import EXAMPLES
 
-from qbounds import NoonParams, bayesian_qcrb, mmse_mse, noon_model, obb_variational
-
-GRID_M = 4001
-SUPPORT = (0.0, math.pi / 10.0)
+SUPPORT = EXAMPLES["noon"].support
 
 print(f"{'n':>3} {'qcrb':>12} {'obb':>12} {'mmse':>12}  note")
 prior_var = (SUPPORT[1] - SUPPORT[0]) ** 2 / 12.0
 for n in range(1, 31):
-    problem, model = noon_model(NoonParams(10), SUPPORT, GRID_M, n)
+    problem, model = noon_model(NoonParams(10), SUPPORT, DEFAULT_GRID_M, n)
     qcrb = bayesian_qcrb(problem).value
     obb = obb_variational(problem).value
     mse = mmse_mse(model, problem.prior, n).mse

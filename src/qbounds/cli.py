@@ -33,10 +33,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,45 +45,7 @@ from .bounds import bayesian_qcrb, obb_variational
 from .core import DEFAULT_GRID_M
 from .errors import ConfigError, InvariantViolation, QboundsError, SingularSystem
 from .estimation import estimator_bias, mmse_mse
-from .models import (
-    DephasingParams,
-    FieldParams,
-    InterferometerParams,
-    NoonParams,
-    dephasing_model,
-    field_model,
-    interferometer_problem,
-    noon_model,
-)
-
-
-class _Example(NamedTuple):
-    prior: tuple[float, float]
-    params: dict  # defaults; an int default marks an integral parameter
-    build: Callable  # (params, prior, m, n) -> (problem, model or None)
-
-
-# Builders call the model functions through this module's globals, so a
-# wrapper installed on those names (as bench/spans.py does) sees every build.
-_EXAMPLES = {
-    "noon": _Example(
-        (0.0, math.pi / 10.0), {"N": 10},
-        lambda p, *args: noon_model(NoonParams(p["N"]), *args)),
-    "dephasing": _Example(
-        (0.0, math.pi), {"eta": 1.0},
-        lambda p, *args: dephasing_model(
-            DephasingParams(p["gamma"]) if "gamma" in p
-            else DephasingParams.from_eta(p["eta"]), *args)),
-    "interferometer": _Example(
-        (0.0, math.pi / 5.0), {"n_a": 1.0, "n_b": 1.0},
-        lambda p, *args: (interferometer_problem(
-            InterferometerParams(p["n_a"], p["n_b"]), *args), None)),
-    "field": _Example(
-        (0.0, math.pi / 2.0), {"B": math.pi / 2.0},
-        lambda p, *args: field_model(FieldParams(p["B"]), *args)),
-}
-# Other names for a parameter: the dephasing decay rate gamma = -ln(eta).
-_ALIASES = {"gamma": "eta"}
+from .models import EXAMPLES
 
 # Most n values, or sweep values, of one run: each is a full evaluation.
 _MAX_POINTS = 10_000
@@ -160,10 +122,10 @@ def _resolve_params(example: str, given, sweep):
     if sweep is not None and not (isinstance(sweep, dict)
                                   and isinstance(sweep.get("param"), str)):
         raise ConfigError(f"a sweep needs a parameter and its values, got {sweep!r}")
-    defaults = _EXAMPLES[example].params
+    defaults, aliases = EXAMPLES[example].defaults, EXAMPLES[example].aliases
     named = {}
     for name in [*given, *([sweep["param"]] if sweep is not None else [])]:
-        canonical = _ALIASES.get(name, name)
+        canonical = aliases.get(name, name)
         if canonical not in defaults:
             raise ConfigError(
                 f"the {example} example has no parameter {name!r} "
@@ -173,7 +135,7 @@ def _resolve_params(example: str, given, sweep):
             raise ConfigError(f"{named[canonical]} and {name} set the same parameter")
 
     def check(name, value):
-        integral = isinstance(defaults[_ALIASES.get(name, name)], int)
+        integral = isinstance(defaults[aliases.get(name, name)], int)
         return _number(value, f"parameter {name}", integral)
 
     params = {k: v for k, v in defaults.items() if k not in named}
@@ -241,15 +203,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     settings.update(_flag_settings(args, settings.get("params", {})))
 
     example = settings.get("example")
-    if not isinstance(example, str) or example not in _EXAMPLES:
+    if not isinstance(example, str) or example not in EXAMPLES:
         raise ConfigError(
-            f"--example must be one of {', '.join(_EXAMPLES)}, got {example!r}"
+            f"--example must be one of {', '.join(EXAMPLES)}, got {example!r}"
         )
 
     params, sweep = _resolve_params(example, settings.get("params", {}),
                                     settings.get("sweep"))
 
-    prior = _pair(settings.get("prior", _EXAMPLES[example].prior), "prior")
+    prior = _pair(settings.get("prior", EXAMPLES[example].support), "prior")
     # ParameterGrid rejects an even grid or one below 3 nodes
     grid_points = _number(settings.get("grid_points", DEFAULT_GRID_M),
                           "grid size (--grid or config grid_points)", integral=True)
@@ -279,7 +241,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 def _build(example: str, params: dict, prior, m: int, n: int):
     """Instantiate (problem, measurement model or None) for one axis point."""
-    return _EXAMPLES[example].build(params, prior, m, n)
+    return EXAMPLES[example].build(params, prior, m, n)
 
 
 def _measured_point(config: RunConfig):
@@ -405,15 +367,21 @@ def _csv_chunks(command: str, columns: list):
 
 def _write(path: str | None, chunks) -> None:
     """Write each text of ``chunks`` as it is made, to stdout or ``path``,
-    opened once; an OSError on ``path`` raises ConfigError."""
-    if path is None or path == "-":
-        sys.stdout.writelines(chunks)
-    else:
-        try:
+    opened once; an OSError on either (a closed pipe too) raises ConfigError."""
+    stdout = path is None or path == "-"
+    try:
+        if stdout:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        else:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(chunks)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc}") from exc
+    except OSError as exc:
+        if stdout:  # the text still buffered would fail again at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ConfigError(f"cannot write {'stdout' if stdout else path}: {exc}") from exc
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -429,7 +397,7 @@ def make_parser() -> argparse.ArgumentParser:
         "mmse: posterior-mean estimates per outcome count at one n")
     # one flag set for all three commands; values stay text for build_config
     for flag, metavar in (
-        ("--example", "{%s}" % ",".join(_EXAMPLES)), ("--n", "N"),
+        ("--example", "{%s}" % ",".join(EXAMPLES)), ("--n", "N"),
         ("--n-range", "MIN:MAX"), ("--grid", "M"),
         ("--sweep", "KEY=V1,V2,..."), ("--stride", "K"), ("--out", "PATH"),
         ("--report", "PATH"), ("--config", "PATH"),

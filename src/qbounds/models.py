@@ -12,12 +12,14 @@ interferometer) a binary measurement law:
 * Qubit in an in-plane magnetic field of magnitude B:
   J(x) = 4 sin^2(B/2) [1 - cos^2(B/2) sin^2 x], p1(x) = sin^2(B/2) sin^2 x.
 
-Evolution time is fixed to 1 throughout.
+Evolution time is fixed to 1 throughout. ``EXAMPLES`` is the one table of
+the four by name: default prior support and parameters, and a builder.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -192,3 +194,31 @@ def field_model(
     return _uniform_model(prior_support, m, n,
                           lambda x: 4.0 * s2 * (s2 + c2 * np.cos(x) ** 2),
                           lambda x: s2 * np.sin(x) ** 2)
+
+
+class Example(NamedTuple):
+    support: tuple[float, float]  # default prior support
+    defaults: dict  # parameter defaults; an int default marks an integral one
+    aliases: dict  # other name -> parameter
+    build: Callable  # (params dict, support, m, n) -> (problem, model or None)
+
+
+# Each build calls its builder through this module's globals, so a wrapper
+# installed on those names (as bench/spans.py does) sees every build.
+EXAMPLES = {
+    "noon": Example(
+        (0.0, math.pi / 10.0), {"N": 10}, {},
+        lambda p, *args: noon_model(NoonParams(p["N"]), *args)),
+    "dephasing": Example(
+        (0.0, math.pi), {"eta": 1.0}, {"gamma": "eta"},  # gamma = -ln(eta)
+        lambda p, *args: dephasing_model(
+            DephasingParams(p["gamma"]) if "gamma" in p
+            else DephasingParams.from_eta(p["eta"]), *args)),
+    "interferometer": Example(
+        (0.0, math.pi / 5.0), {"n_a": 1.0, "n_b": 1.0}, {},
+        lambda p, *args: (interferometer_problem(
+            InterferometerParams(p["n_a"], p["n_b"]), *args), None)),
+    "field": Example(
+        (0.0, math.pi / 2.0), {"B": math.pi / 2.0}, {},
+        lambda p, *args: field_model(FieldParams(p["B"]), *args)),
+}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qbounds import cli
+from qbounds import cli, models
 from qbounds.cli import (
     _check_row,
     build_config,
@@ -427,21 +427,39 @@ class TestFailureExitCodes:
         assert err.startswith("qbounds:") and "mse is nan" in err
 
     @staticmethod
-    def run_under_limit(argv, limit=None, threads=1):
+    def cli_env(threads=1):
+        """The environment of a CLI subprocess on ``threads`` BLAS threads."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        return {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    @classmethod
+    def run_under_limit(cls, argv, limit=None, threads=1):
         """The CLI in a subprocess on ``threads`` BLAS threads, its address
         space capped at ``limit``."""
         def limit_address_space():
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         return subprocess.run(
-            [sys.executable, "-m", "qbounds.cli", *argv], env=env,
+            [sys.executable, "-m", "qbounds.cli", *argv], env=cls.cli_env(threads),
             preexec_fn=limit_address_space if limit else None,
             capture_output=True, text=True, timeout=120,
         )
+
+    def test_closed_stdout_exits_2_in_one_line(self):
+        # 20001 rows, about 450 kB, outgrow the 64 KiB pipe buffer, so the
+        # CLI is still writing when the reader closes the pipe (as | head -1
+        # does); no traceback, and no "Exception ignored" line at exit
+        argv = ["mmse", "--example", "noon", "--n", "20000"]
+        with subprocess.Popen([sys.executable, "-m", "qbounds.cli", *argv],
+                              env=self.cli_env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) as proc:
+            assert proc.stdout.readline() == "k,estimate,zero_evidence\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 2
+        assert err == "qbounds: cannot write stdout: [Errno 32] Broken pipe\n"
 
     # 1-D sums over nodes are numpy's pairwise sums and call no BLAS; the
     # matrix products over nodes (the MMSE walk's) do, so the digits of a
@@ -924,3 +942,24 @@ class TestOutputContract:
         assert len(err.splitlines()) == 1
         assert "axis=2.0: obb" in err and "exceeds qcrb" in err
         assert len(solved) == 2
+
+
+class TestExampleTable:
+    BUILDERS = ("noon_model", "dephasing_model", "interferometer_problem", "field_model")
+
+    @pytest.mark.parametrize("example", models.EXAMPLES)
+    def test_builds_go_through_the_models_names(self, tmp_path, monkeypatch, example):
+        # a wrapper installed on the models module's names, as the
+        # benchmark's tracer installs one, sees every build of the CLI
+        calls = []
+
+        def wrapped(name, real):
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in self.BUILDERS:
+            monkeypatch.setattr(models, name, wrapped(name, getattr(models, name)))
+        code, csv_text, _ = run(
+            tmp_path, "bounds", "--example", example, "--n-range", "1:3", *GRID)
+        assert code == 0
+        assert len(rows_of(csv_text)[1]) == 3
+        assert len(calls) == 3 and len(set(calls)) == 1
