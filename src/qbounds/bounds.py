@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import EstimationProblem, GridFunction, ParameterGrid
 from .errors import DomainError, SingularSystem
-from .numerics import _dot, composite_simpson, solve_tridiagonal
+from .numerics import _dot, solve_tridiagonal
 
 __all__ = [
     "BoundReport",
@@ -84,13 +84,12 @@ def bound_functional(
     integrand = p.prior.samples.values * (
         (1.0 + b_prime.values) ** 2 / p.qfi.values + b.values**2
     )
-    return float(composite_simpson(integrand, p.grid.h))
+    return float(_dot(integrand, p.grid.simpson_weights))
 
 
 def bayesian_qcrb(p: EstimationProblem) -> BoundReport:
     """Bayesian quantum Cramer-Rao bound: the b = 0 member of the family."""
-    integrand = p.prior.samples.values / p.qfi.values
-    value = float(composite_simpson(integrand, p.grid.h))
+    value = float(_dot(p.prior.samples.values / p.qfi.values, p.grid.simpson_weights))
     return BoundReport(value, None, None)
 
 
@@ -134,19 +133,6 @@ def obb_closed_form(j_effective: float, a: float) -> BoundReport:
     return BoundReport(float(deficit / j_effective), None, None)
 
 
-def _cell_weights(p: EstimationProblem) -> tuple[np.ndarray, np.ndarray]:
-    """(w p, q): cell width times p at the nodes, and q at the midpoints.
-
-    The cell width w is h, or h/2 at the two end nodes; q is the mean of
-    the two nodal values of J/p.
-    """
-    density = p.prior.samples.values
-    mass = p.grid.h * density
-    mass[[0, -1]] /= 2.0
-    ratio = p.qfi.values / density
-    return mass, 0.5 * (ratio[:-1] + ratio[1:])
-
-
 def solve_optimal_bias(p: EstimationProblem) -> tuple[GridFunction, GridFunction]:
     """Solve the optimal-bias problem in flux form: (b, b') on the problem grid.
 
@@ -175,7 +161,7 @@ def solve_optimal_bias(p: EstimationProblem) -> tuple[GridFunction, GridFunction
     # normal double; report it rather than print a value rounded to zero.
     if not h * h > 0.0:
         raise SingularSystem(f"grid spacing {h:.3g} is too fine: h^2 underflows")
-    mass, q = _cell_weights(p)
+    mass, q = p.mass, p.q
     # h q itself overflows on very wide supports; its square root does not
     r = np.sqrt(h) * np.sqrt(q)
     inv = 1.0 / mass
@@ -185,8 +171,7 @@ def solve_optimal_bias(p: EstimationProblem) -> tuple[GridFunction, GridFunction
         k = (inv[:-1] / r + inv[1:] / r) / r
     if not (np.isfinite(k).all() and np.isfinite(off).all()):
         raise SingularSystem("the bias system overflows: the information n J is too small")
-    # the node differences, not h: they carry the rounding of the nodes
-    y0 = np.diff(grid.nodes()) / r / (1.0 + k)
+    y0 = grid.spacings / r / (1.0 + k)
     rhs = np.zeros_like(y0)
     rhs[:-1] -= off * y0[1:]
     rhs[1:] -= off * y0[:-1]
@@ -217,10 +202,9 @@ def bias_ode_residual(p: EstimationProblem, b: GridFunction) -> float:
     """
     if b.grid != p.grid:
         raise DomainError("bias must live on the problem grid")
-    mass, q = _cell_weights(p)
-    flux = np.cumsum(mass * b.values)
-    slope = (np.diff(p.grid.nodes()) + np.diff(b.values)) / p.grid.h
-    r = np.append(slope - q * flux[:-1], q[-1] * flux[-1])
+    flux = np.cumsum(p.mass * b.values)
+    slope = (p.grid.spacings + np.diff(b.values)) / p.grid.h
+    r = np.append(slope - p.q * flux[:-1], p.q[-1] * flux[-1])
     return float(np.max(np.abs(r)))
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import bayesian_qcrb, obb_variational
-from .core import DEFAULT_GRID_M
+from .core import DEFAULT_GRID_M, EstimationProblem
 from .errors import ConfigError, InvariantViolation, QboundsError, SingularSystem
 from .estimation import estimator_bias, mmse_mse
 from .models import EXAMPLES
@@ -258,20 +258,26 @@ def _measured_point(config: RunConfig):
 
 
 def run_bounds_sweep(config: RunConfig) -> tuple[list, dict]:
-    """One row per axis value (n, or the sweep parameter at fixed n)."""
-    rows = []
-    if config.sweep is not None:
-        axis_iter = [
-            ({**config.params, config.sweep["param"]: v}, config.n_list[0], v)
-            for v in config.sweep["values"]
-        ]
-    else:
-        axis_iter = [(config.params, n, float(n)) for n in config.n_list]
+    """One row per axis value (n, or the sweep parameter at fixed n).
 
-    for params, n, axis in sorted(axis_iter, key=lambda t: t[2]):
-        problem, model = _build(
-            config.example, params, config.prior, config.grid_points, n
-        )
+    A sweep builds each point anew. Over n neither J nor p1 changes: one build,
+    at the least n, keeps J and the model, and each row's problem is n J.
+    """
+    def build(params, n):
+        return _build(config.example, params, config.prior, config.grid_points, n)
+
+    if config.sweep is not None:
+        n = config.n_list[0]
+        points = ((v, n, *build({**config.params, config.sweep["param"]: v}, n))
+                  for v in sorted(config.sweep["values"]))
+    else:
+        ns = sorted(config.n_list)
+        first, model = build(config.params, ns[0])
+        points = ((float(n), n, EstimationProblem.n_fold(first.prior, first.single_shot_qfi, n),
+                   model) for n in ns)
+
+    rows = []
+    for axis, n, problem, model in points:
         qcrb = bayesian_qcrb(problem).value
         obb = obb_variational(problem)
         mmse = None

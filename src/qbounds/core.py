@@ -1,18 +1,20 @@
 """Shared parameter grid and the estimation-problem data model.
 
-All bounds and estimators consume an EstimationProblem: a prior density and
-the effective (n-fold) QFI n * J(x), both sampled on one uniform grid. The
-estimand is the parameter x itself. Types are frozen dataclasses and safe
-to share across threads.
+All bounds and estimators consume an EstimationProblem: a prior density,
+the effective (n-fold) QFI n * J(x) and the single-shot J(x), sampled on one
+uniform grid. The estimand is the parameter x itself. Types are frozen
+dataclasses and safe to share across threads; the arrays they derive from
+their fields are made once per object, kept on it and read-only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
-from .numerics import composite_simpson
+from .numerics import _dot, simpson_weights
 
 __all__ = [
     "DEFAULT_GRID_M",
@@ -43,21 +45,35 @@ class ParameterGrid:
             raise DomainError(f"need finite a2 > a1, got ({self.a1}, {self.a2})")
         if self.m < 3 or self.m % 2 == 0:
             raise DomainError(f"need odd m >= 3 (Simpson panels), got m={self.m}")
+        object.__setattr__(self, "_nodes", _readonly(self.a1 + self.h * np.arange(self.m)))
 
     @property
     def h(self) -> float:
         return (self.a2 - self.a1) / (self.m - 1)
 
     def nodes(self) -> np.ndarray:
-        return self.a1 + self.h * np.arange(self.m)
+        return self._nodes
+
+    @cached_property
+    def spacings(self) -> np.ndarray:
+        """The node differences: they carry the nodes' rounding, which h does not."""
+        return _readonly(np.diff(self._nodes))
+
+    @cached_property
+    def simpson_weights(self) -> np.ndarray:
+        return _readonly(simpson_weights(self.m, self.h))
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _as_readonly(values, m: int) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.shape[0] != m:
         raise DomainError(f"expected {m} samples, got shape {arr.shape}")
-    arr.flags.writeable = False
-    return arr
+    return _readonly(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +119,7 @@ class PriorDensity:
         # written so that nan samples and a nan total fail the test
         if not (v.min() >= 0.0 and v.max() < np.inf):
             raise DomainError("prior density has negative or non-finite samples")
-        total = float(composite_simpson(v, self.samples.grid.h))
+        total = float(_dot(v, self.grid.simpson_weights))
         if not abs(total - 1.0) <= _PRIOR_NORM_TOL:
             raise DomainError(f"prior integrates to {total!r}, not 1")
 
@@ -114,10 +130,19 @@ class PriorDensity:
 
 @dataclass(frozen=True)
 class EstimationProblem:
-    """Prior and effective (n-fold) QFI n * J(x) sharing one grid."""
+    """Prior and effective (n-fold) QFI n * J(x) sharing one grid, and J(x) if known."""
 
     prior: PriorDensity
     qfi: GridFunction
+    single_shot_qfi: GridFunction | None = None
+
+    @classmethod
+    def n_fold(cls, prior: PriorDensity, j: GridFunction, n: int) -> "EstimationProblem":
+        """The problem of n repetitions of single-shot QFI j: qfi = n * j."""
+        # an n * J past the double range is inf, which __post_init__ rejects;
+        # 1 * J is J to the bit, so n = 1 shares j's samples
+        with np.errstate(over="ignore"):
+            return cls(prior, j if n == 1 else GridFunction(j.grid, n * j.values), j)
 
     def __post_init__(self) -> None:
         if self.qfi.grid != self.prior.grid:
@@ -131,6 +156,19 @@ class EstimationProblem:
     @property
     def grid(self) -> ParameterGrid:
         return self.prior.grid
+
+    @cached_property
+    def mass(self) -> np.ndarray:
+        """Cell width times p at the nodes: h, or h/2 at the two end nodes."""
+        mass = self.grid.h * self.prior.samples.values
+        mass[[0, -1]] /= 2.0
+        return _readonly(mass)
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """The mean of the two nodal values of J/p at each cell midpoint."""
+        ratio = self.qfi.values / self.prior.samples.values
+        return _readonly(0.5 * (ratio[:-1] + ratio[1:]))
 
 
 def make_uniform_prior(a1: float, a2: float, m: int) -> PriorDensity:

@@ -28,7 +28,7 @@ import numpy as np
 from .core import GridFunction, ParameterGrid, PriorDensity
 from .errors import DomainError
 from .numerics import (_check_probabilities, _dot, _repetition_count, composite_simpson,
-                       likelihood_blocks, log_binomial_pmf_vector, simpson_weights)
+                       likelihood_blocks, log_binomial_pmf_vector)
 
 __all__ = [
     "BinaryMeasurementModel",
@@ -69,7 +69,7 @@ def _prior_weights(m: BinaryMeasurementModel, prior: PriorDensity, n: int):
     n = _repetition_count(n)
     if m.grid != prior.grid:
         raise DomainError("measurement model and prior must share one grid")
-    x, wp = m.grid.nodes(), simpson_weights(m.grid.m, m.grid.h) * prior.samples.values
+    x, wp = m.grid.nodes(), m.grid.simpson_weights * prior.samples.values
     return n, x, wp, np.column_stack([wp, wp * x])
 
 

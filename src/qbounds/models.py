@@ -101,16 +101,15 @@ def _uniform_model(support, m: int, n: int, j, p1=None):
 
     j(x) and p1(x) give the single-shot QFI (a scalar for a constant one)
     and the probability of outcome 1 at the grid nodes x; the problem holds
-    the n-fold QFI n * j(x). Without p1 there is no measurement model.
+    the n-fold QFI n * j(x) and keeps j(x), so other n need no new build.
+    Without p1 there is no measurement model.
     """
     prior = make_uniform_prior(support[0], support[1], m)
     grid = prior.grid
     x = grid.nodes()
-    # an n * J past the double range is inf, which EstimationProblem rejects
-    with np.errstate(over="ignore"):
-        qfi = GridFunction(grid, n * np.broadcast_to(j(x), x.shape))
+    j = GridFunction(grid, np.broadcast_to(j(x), x.shape))
     model = None if p1 is None else BinaryMeasurementModel(GridFunction(grid, p1(x)))
-    return EstimationProblem(prior, qfi), model
+    return EstimationProblem.n_fold(prior, j, n), model
 
 
 def noon_model(

@@ -320,8 +320,10 @@ def _band(n, q, mirror, log_odds, log_q0, edge=None) -> tuple[np.ndarray, np.nda
 
     # Only columns whose end cell is below the edge bisect: at small n almost
     # none do, and bisecting them all would cost 3x (noon n = 30, 4001 nodes).
-    cols_lo = np.flatnonzero(~kept(0, slice(None)))
-    cols_hi = np.flatnonzero(~kept(n, slice(None)))
+    # Nor does q = 0 (p1 exactly 0 or 1), whose one cell, kk = 0, is exactly 1.
+    sure = q == 0.0
+    cols_lo = np.flatnonzero(~kept(0, slice(None)) & ~sure)
+    cols_hi = np.flatnonzero(~kept(n, slice(None)) & ~sure)
     cols = np.concatenate([cols_lo, cols_hi])
     # good is kept and bad is not; each side closes in on its edge
     side = np.repeat([0, 1], [cols_lo.size, cols_hi.size])
@@ -333,4 +335,5 @@ def _band(n, q, mirror, log_odds, log_q0, edge=None) -> tuple[np.ndarray, np.nda
     # a mirrored column's edge in kk is its edge in k on the other side
     band = np.array([[0], [n]]).repeat(q.size, axis=1)
     band[np.where(mirror[cols], 1 - side, side), cols] = np.where(mirror[cols], n - good, good)
+    band[:, sure] = np.where(mirror[sure], n, 0)
     return band[0], band[1]

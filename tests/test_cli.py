@@ -946,11 +946,13 @@ class TestOutputContract:
 
 class TestExampleTable:
     BUILDERS = ("noon_model", "dephasing_model", "interferometer_problem", "field_model")
+    SWEEPS = {"noon": "N=2,5,9", "dephasing": "eta=0.5,0.8,1",
+              "interferometer": "n_a=0.5,1,2", "field": "B=0.5,1,1.5"}
 
-    @pytest.mark.parametrize("example", models.EXAMPLES)
-    def test_builds_go_through_the_models_names(self, tmp_path, monkeypatch, example):
-        # a wrapper installed on the models module's names, as the
-        # benchmark's tracer installs one, sees every build of the CLI
+    def builds(self, tmp_path, monkeypatch, *argv):
+        """The builders a bounds run of three rows called, in order. A wrapper
+        installed on the models module's names, as the benchmark's tracer
+        installs one, sees every build of the CLI."""
         calls = []
 
         def wrapped(name, real):
@@ -958,8 +960,53 @@ class TestExampleTable:
 
         for name in self.BUILDERS:
             monkeypatch.setattr(models, name, wrapped(name, getattr(models, name)))
-        code, csv_text, _ = run(
-            tmp_path, "bounds", "--example", example, "--n-range", "1:3", *GRID)
+        code, csv_text, _ = run(tmp_path, "bounds", *argv, *GRID)
         assert code == 0
         assert len(rows_of(csv_text)[1]) == 3
+        return calls
+
+    # neither J nor p1 depends on n: an n-range builds once, at its least n
+    @pytest.mark.parametrize("example", models.EXAMPLES)
+    def test_builds_go_through_the_models_names(self, tmp_path, monkeypatch, example):
+        calls = self.builds(tmp_path, monkeypatch, "--example", example, "--n-range", "1:3")
+        assert len(calls) == 1
+
+    # each point of a sweep has new parameters, so a build of its own
+    @pytest.mark.parametrize("example", models.EXAMPLES)
+    def test_a_sweep_builds_each_point(self, tmp_path, monkeypatch, example):
+        calls = self.builds(tmp_path, monkeypatch, "--example", example, "--n", "2",
+                            "--sweep", self.SWEEPS[example])
         assert len(calls) == 3 and len(set(calls)) == 1
+
+
+class TestNRange:
+    """An n-range builds at its least n and takes the other rows' problems from
+    the J that build keeps; each row must be its own single-n run's."""
+
+    @staticmethod
+    def bounds(tmp_path, capsys, *argv):
+        """(exit code, CSV or None, stderr) of one bounds run."""
+        out = tmp_path / f"{len(list(tmp_path.iterdir()))}.csv"
+        code = main(["bounds", *argv, "--out", str(out)])
+        return code, out.read_text() if out.exists() else None, capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, lo, hi, expected", [
+        *[(("--example", example), lo, hi, 0)
+          for example in models.EXAMPLES for lo, hi in ((1, 6), (7, 9))],
+        (("--example", "field", "--grid", "40001"), 1, 4, 0),
+        # n J is subnormal at n = 1 (exit 2), not at n = 1000, where the bias
+        # system overflows (exit 3): the range must fail as its least n does
+        (("--example", "dephasing", "--param", "gamma=355"), 1000, 1001, 3),
+    ])
+    def test_rows_are_the_single_n_runs(self, tmp_path, capsys, argv, lo, hi, expected):
+        code, csv_text, err = self.bounds(tmp_path, capsys, *argv, "--n-range", f"{lo}:{hi}")
+        single = [self.bounds(tmp_path, capsys, *argv, "--n", str(n))
+                  for n in range(lo, hi + 1)]
+        assert code == expected
+        if code != 0:
+            assert (code, csv_text, err) == single[0]
+            assert len(err.splitlines()) == 1
+            return
+        assert code == 0 and err == ""
+        assert all(c == 0 for c, _, _ in single)
+        assert csv_text == single[0][1] + "".join(t.split("\n", 1)[1] for _, t, _ in single[1:])

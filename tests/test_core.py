@@ -112,3 +112,42 @@ class TestValidateProblem:
         # samples are counted against their own grid
         with pytest.raises(DomainError, match="expected 13 samples"):
             GridFunction(other, np.ones(11))
+
+
+class TestMemos:
+    """The arrays a grid or a problem derives from its fields are made once per
+    object, read-only, and never shared with another object."""
+
+    @staticmethod
+    def problem(a2=1.0, m=11):
+        prior = make_uniform_prior(0.0, a2, m)
+        return EstimationProblem.n_fold(prior, GridFunction(prior.grid, np.ones(m)), 3)
+
+    @pytest.mark.parametrize("name", ["nodes", "spacings", "simpson_weights", "mass", "q"])
+    def test_read_only_and_made_once(self, name):
+        p = self.problem()
+        get = {"nodes": lambda: p.grid.nodes(), "spacings": lambda: p.grid.spacings,
+               "simpson_weights": lambda: p.grid.simpson_weights,
+               "mass": lambda: p.mass, "q": lambda: p.q}[name]
+        arr = get()
+        assert get() is arr
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+    def test_values(self):
+        p = self.problem()
+        grid = p.grid
+        np.testing.assert_array_equal(grid.spacings, np.diff(grid.nodes()))
+        np.testing.assert_array_equal(grid.simpson_weights,
+                                      np.array([1.0, *[4.0, 2.0] * 4, 4.0, 1.0]) * (grid.h / 3))
+        np.testing.assert_array_equal(p.mass, [0.05, *[0.1] * 9, 0.05])
+        np.testing.assert_array_equal(p.q, np.full(10, 3.0))
+
+    def test_grids_never_share_arrays(self):
+        grids = [self.problem().grid, self.problem().grid, self.problem(2.0).grid]
+        assert grids[0] == grids[1] != grids[2]
+        for get in (lambda g: g.nodes(), lambda g: g.spacings, lambda g: g.simpson_weights):
+            arrays = [get(grid) for grid in grids]
+            assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                           for b in arrays[i + 1:])
+        assert grids[2].nodes()[-1] == 2.0 and grids[0].nodes()[-1] == 1.0

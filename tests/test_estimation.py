@@ -424,6 +424,26 @@ class TestBandedLikelihood:
         p1 = np.array([0.0, 1e-300, 1e-6, 0.3, 0.5, 0.5 + 2.0**-53, 1.0 - 1e-4, 1.0])
         self.assert_band_is_exact(n, p1)
 
+    # p1 exactly 0 (x = 0) or 1 (x = pi, a mirrored column) leaves one cell,
+    # kk = 0, and _band sets that column's band without bisecting it: it must
+    # be the first and last row that the edge, the band's own or a cut's, keeps
+    @pytest.mark.parametrize("n, cut", [(1, False), (30, False), (3000, False), (3000, True)])
+    def test_band_of_certain_columns(self, n, cut):
+        problem, model = BUILDERS["dephasing-1.0"](401)
+        p1 = model.p1.values
+        assert p1[0] == 0.0 and p1[-1] == 1.0
+        terms = numerics._column_terms(n, p1)
+        edge = numerics._cut_edge(n, p1, walk_weights(problem), *terms[2:]) if cut else None
+        assert (edge is not None) == cut
+        lo, hi = numerics._band(*terms, edge)
+        _, _, mirror, log_odds, log_q0 = terms
+        k = np.arange(n + 1)[:, None]
+        cells = numerics._log_cells(n, np.where(mirror, n - k, k), log_odds, log_q0)
+        keep = cells >= (numerics._LOG_BAND_EDGE if edge is None else edge[:, None])
+        np.testing.assert_array_equal(lo, keep.argmax(axis=0))
+        np.testing.assert_array_equal(hi, n - keep[::-1].argmax(axis=0))
+        assert (lo[0], hi[0], lo[-1], hi[-1]) == (0, 0, n, n)
+
     @staticmethod
     @functools.lru_cache(maxsize=None)
     def dense_oracle(example, n, m):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from qbounds.bounds import bayesian_qcrb, obb_closed_form, obb_variational
+from qbounds.core import EstimationProblem
 from qbounds.errors import DomainError
 from qbounds.models import (
+    EXAMPLES,
     DephasingParams,
     FieldParams,
     InterferometerParams,
@@ -216,3 +218,31 @@ def test_vanishing_qfi_rejected(build):
 def test_invalid_parameter_rejected(build, what):
     with pytest.raises(DomainError, match=what):
         build()
+
+
+# An n-range takes every n after its first from the single-shot J the first
+# build keeps: the same samples times n, so the builder's problem to the bit
+@pytest.mark.parametrize("example", EXAMPLES)
+def test_n_fold_problem_is_the_builders(example):
+    record = EXAMPLES[example]
+    first, _ = record.build(record.defaults, record.support, 401, 3)
+    for n in (1, 2, 7, 1000, 999_999_999_999):
+        built, _ = record.build(record.defaults, record.support, 401, n)
+        again = EstimationProblem.n_fold(first.prior, first.single_shot_qfi, n)
+        np.testing.assert_array_equal(again.qfi.values, built.qfi.values)
+        np.testing.assert_array_equal(again.single_shot_qfi.values,
+                                      built.single_shot_qfi.values)
+        assert again.prior is first.prior
+
+
+@pytest.mark.parametrize("params, n", [({"n_a": 1e297, "n_b": 1.0}, 999_999_999_999),
+                                       ({"n_a": 1e305, "n_b": 1.0}, 1000)])
+def test_n_fold_rejects_an_overflowing_n_j_as_the_builder_does(params, n):
+    record = EXAMPLES["interferometer"]
+    first, _ = record.build(params, record.support, 101, 1)
+    with pytest.raises(DomainError) as built:
+        record.build(params, record.support, 101, n)
+    with pytest.raises(DomainError) as again:
+        EstimationProblem.n_fold(first.prior, first.single_shot_qfi, n)
+    assert str(again.value) == str(built.value)
+    assert "QFI must be finite" in str(built.value)
